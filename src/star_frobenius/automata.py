@@ -34,6 +34,7 @@ from .regex import (
     Symbol,
     Union,
     alphabet_of,
+    resolve_alphabet,
 )
 
 
@@ -129,16 +130,6 @@ def _position_data(ast: RegexAst):
     return letters, follow, nullable, first, last
 
 
-def _resolve_alphabet(ast: RegexAst, alphabet: Alphabet | None) -> Alphabet:
-    inferred = alphabet_of(ast)
-    if alphabet is None:
-        return inferred
-    if not alphabet.issuperset(inferred):
-        missing = "".join(sorted(set(inferred) - set(alphabet)))
-        raise AlphabetMismatch(f"alphabet is missing symbol(s) {missing!r}")
-    return alphabet
-
-
 def _freeze(trans: dict[tuple[int, str], set[int]]):
     return {key: frozenset(val) for key, val in trans.items() if val}
 
@@ -160,7 +151,7 @@ def glushkov(ast: RegexAst, alphabet: Alphabet | None = None) -> Nfa:
     accepting = frozenset(last) | (frozenset({0}) if nullable else frozenset())
     return Nfa(
         state_count=len(letters) + 1,
-        alphabet=_resolve_alphabet(ast, alphabet),
+        alphabet=resolve_alphabet(alphabet_of(ast), alphabet),
         initial=frozenset({0}),
         accepting=accepting,
         transitions=_freeze(trans),
@@ -170,27 +161,11 @@ def glushkov(ast: RegexAst, alphabet: Alphabet | None = None) -> Nfa:
 def glushkov_star(ast: RegexAst, alphabet: Alphabet | None = None) -> Nfa:
     """Position automaton accepting (L(ast))*; exactly symbol_length + 1 states.
 
-    The closure is wired in directly: every last position additionally
-    mirrors the first-position transitions, and the initial state is
+    The position automaton of Star(ast) has the same positions: the star
+    only adds last-to-first follow edges and makes the initial state
     accepting, so the empty word is always accepted.
     """
-    letters, follow, nullable, first, last = _position_data(ast)
-    trans: dict[tuple[int, str], set[int]] = defaultdict(set)
-    for p in first:
-        trans[(0, letters[p])].add(p)
-    for p, successors in follow.items():
-        for q in successors:
-            trans[(p, letters[q])].add(q)
-    for p in last:
-        for q in first:
-            trans[(p, letters[q])].add(q)
-    return Nfa(
-        state_count=len(letters) + 1,
-        alphabet=_resolve_alphabet(ast, alphabet),
-        initial=frozenset({0}),
-        accepting=frozenset(last) | frozenset({0}),
-        transitions=_freeze(trans),
-    )
+    return glushkov(Star(ast), alphabet)
 
 
 def nfa_accepts(nfa: Nfa, word: str) -> bool:
@@ -434,28 +409,29 @@ def trim_useful(dfa: Dfa) -> TrimmedView:
     )
 
 
-def _has_cycle(view: TrimmedView) -> bool:
-    indegree = {p: 0 for p in view.states}
-    for (_, _), q in view.transitions.items():
-        indegree[q] += 1
-    queue = deque(p for p, d in indegree.items() if d == 0)
-    seen = 0
+def topological_order(view: TrimmedView) -> list[int] | None:
+    """Kahn order of the view's states, or None when the view has a cycle.
+
+    On a trimmed view a cycle means an infinite language; the order of an
+    acyclic view is what the longest-path step runs over.
+    """
+    indegree = dict.fromkeys(view.states, 0)
     successors: dict[int, list[int]] = defaultdict(list)
     for (p, _), q in view.transitions.items():
         successors[p].append(q)
-    while queue:
-        p = queue.popleft()
-        seen += 1
+        indegree[q] += 1
+    order = [p for p, d in indegree.items() if d == 0]
+    for p in order:  # the list doubles as the FIFO queue
         for q in successors[p]:
             indegree[q] -= 1
             if indegree[q] == 0:
-                queue.append(q)
-    return seen < len(view.states)
+                order.append(q)
+    return order if len(order) == len(view.states) else None
 
 
 def is_infinite(dfa: Dfa) -> bool:
     """True iff the DFA's language is infinite (trimmed automaton has a cycle)."""
-    return _has_cycle(trim_useful(dfa))
+    return topological_order(trim_useful(dfa)) is None
 
 
 def _successor_arrays(dfa: Dfa) -> list[np.ndarray]:
@@ -470,14 +446,15 @@ def _successor_arrays(dfa: Dfa) -> list[np.ndarray]:
     return arrays
 
 
-def _lex_smallest_accepted(dfa: Dfa, length: int) -> str:
+def _lex_smallest_accepted(
+    dfa: Dfa, length: int, successors: list[np.ndarray]
+) -> str:
     """Lexicographically smallest accepted word of exactly this length.
 
-    Assumes one exists.  Co-reachability layers are computed backward from
-    the accepting states, then a greedy forward walk picks the smallest
-    viable symbol at each step.
+    Assumes one exists.  ``successors`` are the DFA's successor arrays.
+    Co-reachability layers are computed backward from the accepting states,
+    then a greedy forward walk picks the smallest viable symbol at each step.
     """
-    successors = _successor_arrays(dfa)
     layers = np.zeros((length + 1, dfa.state_count), dtype=bool)
     layers[length, list(dfa.accepting)] = True
     for j in range(length - 1, -1, -1):
@@ -515,7 +492,7 @@ def window_accepts(dfa: Dfa, lo: int, hi: int) -> tuple[int, str] | None:
     current[dfa.start] = True
     for length in range(hi):
         if length >= lo and bool((current & accepting).any()):
-            return length, _lex_smallest_accepted(dfa, length)
+            return length, _lex_smallest_accepted(dfa, length, successors)
         if not current.any():
             return None
         nxt = np.zeros(dfa.state_count, dtype=bool)
@@ -533,33 +510,29 @@ def longest_accepted(dfa: Dfa) -> tuple[int, str] | None:
     the trimmed sub-automaton, which is a DAG for finite languages.
     """
     view = trim_useful(dfa)
-    if not view.states:
-        return None
-    if _has_cycle(view):
+    order = topological_order(view)
+    if order is None:
         raise InfiniteLanguage("language is infinite; no longest word exists")
+    return _longest_path(dfa, view, order)
 
-    successors: dict[int, list[int]] = defaultdict(list)
-    indegree = {p: 0 for p in view.states}
-    for (p, _), q in view.transitions.items():
-        successors[p].append(q)
-        indegree[q] += 1
-    order = []
-    queue = deque(p for p, d in indegree.items() if d == 0)
-    while queue:
-        p = queue.popleft()
-        order.append(p)
-        for q in successors[p]:
-            indegree[q] -= 1
-            if indegree[q] == 0:
-                queue.append(q)
 
+def _longest_path(
+    dfa: Dfa, view: TrimmedView, order: list[int]
+) -> tuple[int, str] | None:
+    """longest_accepted for a DFA whose trimmed view and its topological
+    order are already known; None when the view is empty."""
+    if not order:
+        return None
     best: dict[int, int] = {}
     for p in reversed(order):
         candidates = [0] if p in view.accepting else []
-        candidates += [1 + best[q] for q in successors[p]]
+        for a in dfa.alphabet:
+            q = view.transitions.get((p, a))
+            if q is not None:
+                candidates.append(1 + best[q])
         best[p] = max(candidates)
     length = best[view.start]
-    return length, _lex_smallest_accepted(dfa, length)
+    return length, _lex_smallest_accepted(dfa, length, _successor_arrays(dfa))
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ from .regex import (
     alphabet_of,
     format_regex,
     parse_regex,
+    resolve_alphabet,
     symbol_length,
 )
 from .selftest import run_selftest
@@ -93,16 +94,10 @@ def _decide_body(result: CofiniteResult) -> dict:
 
 def cmd_decide(args) -> tuple[dict, dict, int]:
     source, echo = _load_input(args)
-    declared = _parse_alphabet(args.alphabet)
-    result = decide_cofinite(source, declared)
-    if declared is not None:
-        effective = declared
-    elif isinstance(source, Nfa):
-        effective = source.alphabet
-    else:
-        effective = alphabet_of(source)
+    inferred = source.alphabet if isinstance(source, Nfa) else alphabet_of(source)
+    effective = resolve_alphabet(inferred, _parse_alphabet(args.alphabet))
     echo["alphabet"] = "".join(effective)
-    return echo, _decide_body(result), 0
+    return echo, _decide_body(decide_cofinite(source, effective)), 0
 
 
 def cmd_frobenius(args) -> tuple[dict, dict, int]:
@@ -168,8 +163,7 @@ def cmd_oracle(args) -> tuple[dict, dict, int]:
     source, echo = _load_input(args)
     if isinstance(source, Nfa):
         raise ValueError("the oracle command takes a regex, not an NFA")
-    declared = _parse_alphabet(args.alphabet)
-    alphabet = declared if declared is not None else alphabet_of(source)
+    alphabet = resolve_alphabet(alphabet_of(source), _parse_alphabet(args.alphabet))
     budget = int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET))
     report = bruteforce_cofinite(
         source, alphabet, args.horizon, args.bound, budget=budget

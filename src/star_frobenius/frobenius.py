@@ -17,17 +17,17 @@ from typing import Iterable, Sequence
 
 from .automata import (
     Nfa,
+    _longest_path,
     complement,
     glushkov,
     glushkov_star,
-    is_infinite,
-    longest_accepted,
     star_closure,
     subset_construct,
+    topological_order,
     trim_useful,
     window_accepts,
 )
-from .errors import AlphabetMismatch, GcdNotOne
+from .errors import GcdNotOne
 from .regex import (
     Alphabet,
     Concat,
@@ -37,6 +37,7 @@ from .regex import (
     Symbol,
     Union,
     alphabet_of,
+    resolve_alphabet,
     symbol_length,
 )
 
@@ -62,15 +63,6 @@ class CofiniteResult:
     symbol_count: int | None = None
 
 
-def _effective_alphabet(inferred: Alphabet, declared: Alphabet | None) -> Alphabet:
-    if declared is None:
-        return inferred
-    if not declared.issuperset(inferred):
-        missing = "".join(sorted(set(inferred) - set(declared)))
-        raise AlphabetMismatch(f"declared alphabet is missing {missing!r}")
-    return declared
-
-
 def decide_cofinite(
     source: RegexAst | Nfa, alphabet: Alphabet | None = None
 ) -> CofiniteResult:
@@ -82,50 +74,42 @@ def decide_cofinite(
     widened by ``alphabet``; a declared alphabet that misses a used symbol
     raises AlphabetMismatch.  An empty effective alphabet is legal and
     yields the degenerate co-finite result (the closure equals {ε} = Σ*).
+
+    The complement is trimmed and topologically sorted once; the cycle test
+    and the longest-path step share that result.
     """
     if isinstance(source, Nfa):
-        effective = _effective_alphabet(source.alphabet, alphabet)
+        effective = resolve_alphabet(source.alphabet, alphabet)
         star_nfa = star_closure(source)
         t = None
     else:
-        effective = _effective_alphabet(alphabet_of(source), alphabet)
+        effective = resolve_alphabet(alphabet_of(source), alphabet)
         star_nfa = glushkov_star(source, effective)
         t = symbol_length(source)
 
     dfa = subset_construct(star_nfa, effective)
     comp = complement(dfa)
-    n_prime = len(trim_useful(comp).states)
-
-    if is_infinite(comp):
-        witness = window_accepts(comp, n_prime, 2 * n_prime)
-        assert witness is not None, "window criterion must produce a witness"
-        return CofiniteResult(
-            cofinite=False,
-            window_witness=witness,
-            nfa_states=star_nfa.state_count,
-            dfa_states=dfa.state_count,
-            trimmed_complement_states=n_prime,
-            symbol_count=t,
-        )
-
-    longest = longest_accepted(comp)
-    if longest is None:
-        return CofiniteResult(
-            cofinite=True,
-            nfa_states=star_nfa.state_count,
-            dfa_states=dfa.state_count,
-            trimmed_complement_states=n_prime,
-            symbol_count=t,
-        )
-    length, word = longest
-    return CofiniteResult(
-        cofinite=True,
-        frobenius_length=length,
-        witness=word,
+    view = trim_useful(comp)
+    order = topological_order(view)
+    n_prime = len(view.states)
+    sizes = dict(
         nfa_states=star_nfa.state_count,
         dfa_states=dfa.state_count,
         trimmed_complement_states=n_prime,
         symbol_count=t,
+    )
+
+    if order is None:
+        witness = window_accepts(comp, n_prime, 2 * n_prime)
+        assert witness is not None, "window criterion must produce a witness"
+        return CofiniteResult(cofinite=False, window_witness=witness, **sizes)
+
+    longest = _longest_path(comp, view, order)
+    if longest is None:
+        return CofiniteResult(cofinite=True, **sizes)
+    length, word = longest
+    return CofiniteResult(
+        cofinite=True, frobenius_length=length, witness=word, **sizes
     )
 
 

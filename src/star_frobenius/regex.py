@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union as TypingUnion
 
-from .errors import RegexSyntaxError
+from .errors import AlphabetMismatch, RegexSyntaxError
 
 METACHARACTERS = frozenset("+()*ε∅")
 
@@ -267,6 +267,17 @@ def alphabet_of(ast: RegexAst) -> Alphabet:
     letters: set[str] = set()
     _collect_letters(ast, letters)
     return Alphabet(sorted(letters))
+
+
+def resolve_alphabet(inferred: Alphabet, declared: Alphabet | None) -> Alphabet:
+    """The effective alphabet: the inferred one, or the declared one when it
+    covers every inferred symbol; otherwise AlphabetMismatch."""
+    if declared is None:
+        return inferred
+    if not declared.issuperset(inferred):
+        missing = "".join(sorted(set(inferred) - set(declared)))
+        raise AlphabetMismatch(f"declared alphabet is missing {missing!r}")
+    return declared
 
 
 def _collect_letters(ast: RegexAst, out: set[str]) -> None:

@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from star_frobenius.cli import main
 
@@ -219,3 +222,73 @@ def test_byte_identical_reruns(capsys):
     _, first, _ = run(capsys, ["decide", "aa+aaa"])
     _, second, _ = run(capsys, ["decide", "aa+aaa"])
     assert first == second
+
+
+# Default stdout pinned byte for byte.  Each case is (name, argv, files):
+# "{name}" in argv is replaced by the path of a file written from ``files``.
+GOLDEN_NFA = """\
+states 4
+alphabet a
+initial 0
+accepting 2 3
+0 a 1
+1 a 2
+2 a 3
+"""
+GOLDEN_CASES = [
+    ("decide-missing-word", ["decide", "aa+aaa"], {}),
+    ("decide-nothing-missing", ["decide", "a+b"], {}),
+    ("decide-not-cofinite", ["decide", "aa"], {}),
+    ("decide-widened-alphabet", ["decide", "--alphabet", "abc", "aa+aaa+b"], {}),
+    ("decide-widened-not-cofinite", ["decide", "--alphabet", "ab", "a"], {}),
+    ("decide-nfa", ["decide", "--nfa", "-f", "{machine}"], {"machine": GOLDEN_NFA}),
+    (
+        "decide-nfa-widened",
+        ["decide", "--nfa", "--alphabet", "ab", "-f", "{machine}"],
+        {"machine": GOLDEN_NFA},
+    ),
+    ("decide-text", ["decide", "aa", "--format", "text"], {}),
+    ("frobenius-missing-word", ["frobenius", "aa", "aaa"], {}),
+    ("frobenius-widened", ["frobenius", "--alphabet", "ab", "a", "ab", "b"], {}),
+    ("frobenius-text", ["frobenius", "ab", "ba", "--format", "text"], {}),
+    (
+        "reduce-decide-cofinite",
+        ["reduce", "{golden}", "--decide"],
+        {"golden": GOLDEN_DIMACS},
+    ),
+    (
+        "reduce-decide-not-cofinite",
+        ["reduce", "{one}", "--decide"],
+        {"one": "p cnf 3 1\n1 -2 3 0\n"},
+    ),
+    (
+        "reduce-decide-text",
+        ["reduce", "{golden}", "--decide", "--format", "text"],
+        {"golden": GOLDEN_DIMACS},
+    ),
+]
+GOLDEN_PATH = Path(__file__).with_name("cli_golden.json")
+
+
+def golden_stdout(capsys, tmp_path, argv, files):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [arg.format_map({n: str(tmp_path / n) for n in files}) for arg in argv]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, argv, files", GOLDEN_CASES, ids=[case[0] for case in GOLDEN_CASES]
+)
+def test_golden_stdout(capsys, tmp_path, name, argv, files):
+    expected = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    assert golden_stdout(capsys, tmp_path, argv, files) == expected[name]
+
+
+def test_oracle_alphabet_mismatch_exit_3(capsys):
+    code, out, err = run(capsys, ["oracle", "ab", "--alphabet", "a", "--horizon", "4"])
+    assert code == 3
+    assert out == ""
+    assert "declared alphabet is missing 'b'" in err
