@@ -33,7 +33,7 @@ from .regex import (
     Star,
     Symbol,
     Union,
-    alphabet_of,
+    fold,
     resolve_alphabet,
 )
 
@@ -49,11 +49,11 @@ class Nfa:
     transitions: dict[tuple[int, str], frozenset[int]]
 
     def __post_init__(self):
-        states = range(self.state_count)
-        if not self.initial <= set(states) or not self.accepting <= set(states):
+        states = frozenset(range(self.state_count))
+        if not self.initial <= states or not self.accepting <= states:
             raise ValueError("initial/accepting state out of range")
         for (p, a), targets in self.transitions.items():
-            if p not in states or not targets <= set(states):
+            if p not in states or not targets <= states:
                 raise ValueError(f"transition state out of range: {(p, a)}")
             if a not in self.alphabet:
                 raise ValueError(f"transition symbol {a!r} not in alphabet")
@@ -96,7 +96,9 @@ def _position_data(ast: RegexAst):
     letters: dict[int, str] = {}
     follow: dict[int, set[int]] = defaultdict(set)
 
-    def walk(node: RegexAst) -> tuple[bool, frozenset[int], frozenset[int]]:
+    def visit(
+        node: RegexAst, children: tuple
+    ) -> tuple[bool, frozenset[int], frozenset[int]]:
         match node:
             case EmptySet():
                 return False, frozenset(), frozenset()
@@ -107,26 +109,24 @@ def _position_data(ast: RegexAst):
                 letters[pos] = letter
                 singleton = frozenset({pos})
                 return False, singleton, singleton
-            case Union(left, right):
-                nl, fl, ll = walk(left)
-                nr, fr, lr = walk(right)
+            case Union():
+                (nl, fl, ll), (nr, fr, lr) = children
                 return nl or nr, fl | fr, ll | lr
-            case Concat(left, right):
-                nl, fl, ll = walk(left)
-                nr, fr, lr = walk(right)
+            case Concat():
+                (nl, fl, ll), (nr, fr, lr) = children
                 for p in ll:
                     follow[p] |= fr
                 first = fl | fr if nl else fl
                 last = lr | ll if nr else lr
                 return nl and nr, first, last
-            case Star(child):
-                nc, fc, lc = walk(child)
+            case Star():
+                ((nc, fc, lc),) = children
                 for p in lc:
                     follow[p] |= fc
                 return True, fc, lc
         raise TypeError(f"not a regex node: {node!r}")
 
-    nullable, first, last = walk(ast)
+    nullable, first, last = fold(ast, visit)
     return letters, follow, nullable, first, last
 
 
@@ -151,7 +151,7 @@ def glushkov(ast: RegexAst, alphabet: Alphabet | None = None) -> Nfa:
     accepting = frozenset(last) | (frozenset({0}) if nullable else frozenset())
     return Nfa(
         state_count=len(letters) + 1,
-        alphabet=resolve_alphabet(alphabet_of(ast), alphabet),
+        alphabet=resolve_alphabet(Alphabet(set(letters.values())), alphabet),
         initial=frozenset({0}),
         accepting=accepting,
         transitions=_freeze(trans),

@@ -36,9 +36,7 @@ from .regex import (
     RegexAst,
     Symbol,
     Union,
-    alphabet_of,
     resolve_alphabet,
-    symbol_length,
 )
 
 
@@ -75,17 +73,18 @@ def decide_cofinite(
     raises AlphabetMismatch.  An empty effective alphabet is legal and
     yields the degenerate co-finite result (the closure equals {ε} = Σ*).
 
-    The complement is trimmed and topologically sorted once; the cycle test
+    A regex is walked once: building its position automaton also yields
+    t (the automaton has t + 1 states) and the symbols it uses.  The
+    complement is trimmed and topologically sorted once; the cycle test
     and the longest-path step share that result.
     """
     if isinstance(source, Nfa):
-        effective = resolve_alphabet(source.alphabet, alphabet)
         star_nfa = star_closure(source)
         t = None
     else:
-        effective = resolve_alphabet(alphabet_of(source), alphabet)
-        star_nfa = glushkov_star(source, effective)
-        t = symbol_length(source)
+        star_nfa = glushkov_star(source)
+        t = star_nfa.state_count - 1
+    effective = resolve_alphabet(star_nfa.alphabet, alphabet)
 
     dfa = subset_construct(star_nfa, effective)
     comp = complement(dfa)
@@ -116,20 +115,12 @@ def decide_cofinite(
 def words_to_regex(words: Iterable[str]) -> RegexAst:
     """Union-of-literals syntax tree for an explicit finite word set."""
     def literal(word: str) -> RegexAst:
-        if not word:
-            return Epsilon()
-        node: RegexAst = Symbol(word[0])
-        for ch in word[1:]:
-            node = Concat(node, Symbol(ch))
-        return node
+        return reduce(Concat, map(Symbol, word)) if word else Epsilon()
 
     unique = sorted(set(words))
     if not unique:
         return EmptySet()
-    node = literal(unique[0])
-    for word in unique[1:]:
-        node = Union(node, literal(word))
-    return node
+    return reduce(Union, map(literal, unique))
 
 
 def frobenius_of_finite_set(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import BadLengths, FormatError, NotThreeSat, TooLarge, UnusedVariable
 from .frobenius import frobenius_of_finite_set
@@ -125,13 +126,6 @@ def format_dimacs(cnf: CnfInstance) -> str:
 _T_OR_F = Union(Symbol("T"), Symbol("F"))
 
 
-def _concat_chain(atoms: list[RegexAst]) -> RegexAst:
-    node = atoms[0]
-    for atom in atoms[1:]:
-        node = Concat(node, atom)
-    return node
-
-
 def cnf_to_regex(cnf: CnfInstance) -> RegexAst:
     """The reduction expression over alphabet {F, T}.
 
@@ -151,12 +145,9 @@ def cnf_to_regex(cnf: CnfInstance) -> RegexAst:
                 atoms.append(Symbol("T"))
             else:
                 atoms.append(_T_OR_F)
-        terms.append(_concat_chain(atoms))
-    terms.append(_concat_chain([_T_OR_F] * (n + 1)))
-    node = terms[0]
-    for term in terms[1:]:
-        node = Union(node, term)
-    return node
+        terms.append(reduce(Concat, atoms))
+    terms.append(reduce(Concat, [_T_OR_F] * (n + 1)))
+    return reduce(Union, terms)
 
 
 def sat_bruteforce(cnf: CnfInstance) -> tuple[bool, ...] | None:

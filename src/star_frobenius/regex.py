@@ -18,7 +18,8 @@ sequences without separating parentheses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union as TypingUnion
+from functools import reduce
+from typing import Callable, Iterable, TypeVar, Union as TypingUnion
 
 from .errors import AlphabetMismatch, RegexSyntaxError
 
@@ -123,78 +124,12 @@ class Alphabet:
         return Alphabet(sorted(set(self.symbols) | set(other.symbols)))
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str | None:
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
-
-    def at_keyword(self, word: str) -> bool:
-        self.skip_ws()
-        return self.text.startswith(word, self.pos)
-
-    def expr(self) -> RegexAst:
-        node = self.term()
-        while self.peek() == "+":
-            self.pos += 1
-            node = Union(node, self.term())
-        return node
-
-    def term(self) -> RegexAst:
-        node = self.factor()
-        while self._at_atom():
-            node = Concat(node, self.factor())
-        return node
-
-    def factor(self) -> RegexAst:
-        node = self.atom()
-        while self.peek() == "*":
-            self.pos += 1
-            node = Star(node)
-        return node
-
-    def _at_atom(self) -> bool:
-        ch = self.peek()
-        return ch is not None and ch not in "+)*"
-
-    def atom(self) -> RegexAst:
-        ch = self.peek()
-        if ch is None or ch in "+)":
-            raise RegexSyntaxError("expected an atom", self.pos)
-        if ch == "*":
-            raise RegexSyntaxError("dangling '*'", self.pos)
-        if ch == "(":
-            self.pos += 1
-            node = self.expr()
-            if self.peek() != ")":
-                raise RegexSyntaxError("expected ')'", self.pos)
-            self.pos += 1
-            return node
-        if ch == "ε":
-            self.pos += 1
-            return Epsilon()
-        if ch == "∅":
-            self.pos += 1
-            return EmptySet()
-        if self.at_keyword("EMPTY"):
-            self.pos += 5
-            return EmptySet()
-        if self.at_keyword("EPS"):
-            self.pos += 3
-            return Epsilon()
-        if not is_valid_symbol(ch):
-            raise RegexSyntaxError(f"invalid symbol {ch!r}", self.pos)
-        self.pos += 1
-        return Symbol(ch)
+_KEYWORDS = (
+    ("ε", Epsilon),
+    ("∅", EmptySet),
+    ("EMPTY", EmptySet),
+    ("EPS", Epsilon),
+)
 
 
 def parse_regex(text: str) -> RegexAst:
@@ -203,70 +138,140 @@ def parse_regex(text: str) -> RegexAst:
     Raises RegexSyntaxError (with the offending offset) on unbalanced
     parentheses, empty alternation branches, dangling stars, and symbols
     outside the permitted character set.
+
+    One loop over the text with a stack of open groups; each group holds
+    its finished union terms and the factors of the term being read, so
+    nesting depth is bounded only by memory.
     """
-    parser = _Parser(text)
-    if parser.peek() is None:
-        raise RegexSyntaxError("empty pattern", parser.pos)
-    node = parser.expr()
-    if parser.peek() is not None:
-        raise RegexSyntaxError(f"unexpected {parser.peek()!r}", parser.pos)
-    return node
+    if not text.strip():
+        raise RegexSyntaxError("empty pattern", len(text))
+    groups: list[tuple[list[RegexAst], list[RegexAst]]] = [([], [])]
+    pos = 0
+    while True:
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        ch = text[pos] if pos < len(text) else None
+        terms, factors = groups[-1]
+        if factors and ch == "*":
+            factors[-1] = Star(factors[-1])
+            pos += 1
+            continue
+        if factors and (ch is None or ch in "+)"):
+            terms.append(reduce(Concat, factors))
+            factors.clear()
+            if ch is None:
+                if len(groups) > 1:
+                    raise RegexSyntaxError("expected ')'", pos)
+                return reduce(Union, terms)
+            if ch == ")":
+                if len(groups) == 1:
+                    raise RegexSyntaxError("unexpected ')'", pos)
+                groups.pop()
+                groups[-1][1].append(reduce(Union, terms))
+            pos += 1
+            continue
+        if ch is None or ch in "+)":
+            raise RegexSyntaxError("expected an atom", pos)
+        if ch == "*":
+            raise RegexSyntaxError("dangling '*'", pos)
+        if ch == "(":
+            groups.append(([], []))
+            pos += 1
+            continue
+        for word, leaf in _KEYWORDS:
+            if text.startswith(word, pos):
+                factors.append(leaf())
+                pos += len(word)
+                break
+        else:
+            if not is_valid_symbol(ch):
+                raise RegexSyntaxError(f"invalid symbol {ch!r}", pos)
+            factors.append(Symbol(ch))
+            pos += 1
+
+
+def _children(node: RegexAst) -> tuple[RegexAst, ...]:
+    if isinstance(node, (Union, Concat)):
+        return node.left, node.right
+    if isinstance(node, Star):
+        return (node.child,)
+    return ()
+
+
+T = TypeVar("T")
+
+
+def fold(ast: RegexAst, visit: Callable[[RegexAst, tuple], T]) -> T:
+    """Post-order fold: ``visit(node, child_values)`` runs bottom-up, left
+    child before right, so Symbol leaves are met left to right.
+
+    The walk keeps its own stack, so tree depth is bounded only by memory.
+    """
+    values: list = []
+    stack: list[tuple[RegexAst, int | None]] = [(ast, None)]
+    while stack:
+        node, arity = stack.pop()
+        if arity is None:
+            children = _children(node)
+            if children:
+                stack.append((node, len(children)))
+                stack.extend((child, None) for child in reversed(children))
+                continue
+            arity = 0
+        args = tuple(values[len(values) - arity :])
+        del values[len(values) - arity :]
+        values.append(visit(node, args))
+    return values[0]
+
+
+# Binding strength of the printed forms, loosest first.
+_UNION, _CONCAT, _STAR, _ATOM = range(4)
+
+
+def _wrap(child: tuple[str, int], strength: int) -> str:
+    text, own = child
+    return text if own >= strength else "(" + text + ")"
+
+
+def _format_node(node: RegexAst, children: tuple) -> tuple[str, int]:
+    match node:
+        case Symbol(letter):
+            return letter, _ATOM
+        case Epsilon():
+            return "ε", _ATOM
+        case EmptySet():
+            return "∅", _ATOM
+        case Union():
+            left, right = children
+            return left[0] + "+" + _wrap(right, _CONCAT), _UNION
+        case Concat():
+            left, right = children
+            return _wrap(left, _CONCAT) + _wrap(right, _STAR), _CONCAT
+        case Star():
+            return _wrap(children[0], _STAR) + "*", _STAR
+    raise TypeError(f"not a regex node: {node!r}")
 
 
 def format_regex(ast: RegexAst) -> str:
     """Print a tree so that re-parsing yields a structurally identical tree."""
-    return _union_str(ast)
-
-
-def _union_str(node: RegexAst) -> str:
-    if isinstance(node, Union):
-        return _union_str(node.left) + "+" + _concat_str(node.right)
-    return _concat_str(node)
-
-
-def _concat_str(node: RegexAst) -> str:
-    if isinstance(node, Concat):
-        return _concat_str(node.left) + _factor_str(node.right)
-    return _factor_str(node)
-
-
-def _factor_str(node: RegexAst) -> str:
-    if isinstance(node, Star):
-        inner = node.child
-        if isinstance(inner, Star):
-            return _factor_str(inner) + "*"
-        return _atom_str(inner) + "*"
-    return _atom_str(node)
-
-
-def _atom_str(node: RegexAst) -> str:
-    if isinstance(node, Symbol):
-        return node.letter
-    if isinstance(node, Epsilon):
-        return "ε"
-    if isinstance(node, EmptySet):
-        return "∅"
-    return "(" + _union_str(node) + ")"
+    return fold(ast, _format_node)[0]
 
 
 def symbol_length(ast: RegexAst) -> int:
     """Number of Symbol leaves in the tree."""
-    match ast:
-        case Symbol():
-            return 1
-        case Union(left, right) | Concat(left, right):
-            return symbol_length(left) + symbol_length(right)
-        case Star(child):
-            return symbol_length(child)
-        case _:
-            return 0
+    return fold(
+        ast, lambda node, counts: 1 if isinstance(node, Symbol) else sum(counts)
+    )
 
 
 def alphabet_of(ast: RegexAst) -> Alphabet:
     """The distinct symbols occurring in the tree, in codepoint order."""
-    letters: set[str] = set()
-    _collect_letters(ast, letters)
-    return Alphabet(sorted(letters))
+    def letters(node: RegexAst, below: tuple) -> frozenset[str]:
+        if isinstance(node, Symbol):
+            return frozenset({node.letter})
+        return frozenset().union(*below)
+
+    return Alphabet(fold(ast, letters))
 
 
 def resolve_alphabet(inferred: Alphabet, declared: Alphabet | None) -> Alphabet:
@@ -278,14 +283,3 @@ def resolve_alphabet(inferred: Alphabet, declared: Alphabet | None) -> Alphabet:
         missing = "".join(sorted(set(inferred) - set(declared)))
         raise AlphabetMismatch(f"declared alphabet is missing {missing!r}")
     return declared
-
-
-def _collect_letters(ast: RegexAst, out: set[str]) -> None:
-    match ast:
-        case Symbol(letter):
-            out.add(letter)
-        case Union(left, right) | Concat(left, right):
-            _collect_letters(left, out)
-            _collect_letters(right, out)
-        case Star(child):
-            _collect_letters(child, out)

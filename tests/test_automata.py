@@ -9,6 +9,7 @@ from star_frobenius import (
     alphabet_of,
     Dfa,
     InfiniteLanguage,
+    Nfa,
     NfaFormatError,
     ReachabilityMatrix,
     UnknownSymbol,
@@ -324,6 +325,23 @@ def test_parse_nfa_roundtrip_language():
 def test_parse_nfa_errors(text):
     with pytest.raises(NfaFormatError):
         parse_nfa(text)
+
+
+@pytest.mark.parametrize(
+    "initial, accepting, transitions, message",
+    [
+        ({0}, {2}, {}, "initial/accepting state out of range"),
+        ({2}, {1}, {}, "initial/accepting state out of range"),
+        ({0}, {1}, {(0, "a"): frozenset({2})}, "transition state out of range"),
+        ({0}, {1}, {(2, "a"): frozenset({1})}, "transition state out of range"),
+        ({0}, {1}, {(0, "c"): frozenset({1})}, "transition symbol 'c' not in alphabet"),
+    ],
+)
+def test_nfa_rejects_bad_states_and_symbols(
+    initial, accepting, transitions, message
+):
+    with pytest.raises(ValueError, match=message):
+        Nfa(2, Alphabet("ab"), frozenset(initial), frozenset(accepting), transitions)
 
 
 def test_star_closure_rejects_spurious_words():

@@ -1,7 +1,12 @@
+import contextlib
+import io
+import itertools
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from star_frobenius.cli import main
 
@@ -292,3 +297,80 @@ def test_oracle_alphabet_mismatch_exit_3(capsys):
     assert code == 3
     assert out == ""
     assert "declared alphabet is missing 'b'" in err
+
+
+def test_decide_deep_literal(capsys):
+    code, env = run_json(capsys, ["decide", "ab" * 1500])
+    assert code == 0
+    assert env["result"]["t"] == 3000
+
+
+def test_reduce_many_clauses(capsys, tmp_path):
+    n, m = 12, 1000
+    lines = [f"p cnf {n} {m}"]
+    for i in range(m):
+        variables = (i % n + 1, (i + 1) % n + 1, (i + 3) % n + 1)
+        signs = (1 - 2 * (i >> bit & 1) for bit in range(3))
+        lines.append(" ".join(str(s * v) for s, v in zip(signs, variables)) + " 0")
+    path = tmp_path / "many.cnf"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, env = run_json(capsys, ["reduce", str(path)])
+    assert code == 0
+    # Each clause pattern has 3 single symbols and 9 (T+F) blocks.
+    assert env["result"]["symbol_count"] == m * (3 + 2 * (n - 3)) + 2 * (n + 1)
+
+
+def test_frobenius_all_words_of_length_ten(capsys):
+    words = ["".join(w) for w in itertools.product("ab", repeat=10)]
+    code, env = run_json(capsys, ["frobenius", *words])
+    assert code == 0
+    assert env["result"]["t"] == 10 * 1024
+
+
+def main_exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    if code == 0:
+        json.loads(out.getvalue())
+    return code
+
+
+# Short texts keep determinization small.
+regex_texts = st.text(alphabet="ab()+*ε∅ E", max_size=15)
+
+
+@st.composite
+def nfa_texts(draw):
+    """NFA files of at most 4 states; some name a target state or a symbol
+    out of range, or miss a line."""
+    n = draw(st.integers(1, 4))
+    ids = st.lists(st.integers(0, n - 1), max_size=3).map(
+        lambda xs: " ".join(map(str, xs))
+    )
+    lines = [
+        f"states {n}",
+        f"alphabet {draw(st.sampled_from(['ab', 'a', '']))}",
+        f"initial {draw(ids)}",
+        f"accepting {draw(ids)}",
+    ]
+    edges = st.tuples(
+        st.integers(0, n - 1), st.sampled_from("abc"), st.integers(0, n)
+    )
+    for p, a, q in draw(st.lists(edges, max_size=6)):
+        lines.append(f"{p} {a} {q}")
+    if draw(st.integers(0, 3)) == 3:
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(regex_texts, st.sampled_from([[], ["--alphabet", "ab"], ["--alphabet", "a"]]))
+def test_decide_regex_exits_cleanly(text, extra):
+    assert main_exit_code(["decide", *extra, text]) in (0, 2, 3, 4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(nfa_texts(), st.sampled_from([[], ["--alphabet", "abc"], ["--alphabet", "a"]]))
+def test_decide_nfa_exits_cleanly(text, extra):
+    assert main_exit_code(["decide", "--nfa", *extra, text]) in (0, 2, 3, 4)

@@ -140,3 +140,18 @@ def test_symbol_length_additivity(left, right):
     assert symbol_length(Union(left, right)) == symbol_length(left) + symbol_length(right)
     assert symbol_length(Concat(left, right)) == symbol_length(left) + symbol_length(right)
     assert symbol_length(Star(left)) == symbol_length(left)
+
+
+def test_deep_literal_roundtrip():
+    # Deep trees are compared by printed text and counts: the dataclass
+    # __eq__ of a deep tree is itself recursive.
+    text = "ab" * 10_000
+    ast = parse_regex(text)
+    assert format_regex(ast) == text
+    assert symbol_length(ast) == 20_000
+    assert list(alphabet_of(ast)) == ["a", "b"]
+
+
+def test_deep_brackets_parse():
+    depth = 100_000
+    assert parse_regex("(" * depth + "a" + ")" * depth) == Symbol("a")
