@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
@@ -52,10 +54,11 @@ class Nfa:
         states = frozenset(range(self.state_count))
         if not self.initial <= states or not self.accepting <= states:
             raise ValueError("initial/accepting state out of range")
+        symbols = self.alphabet.symbols
         for (p, a), targets in self.transitions.items():
             if p not in states or not targets <= states:
                 raise ValueError(f"transition state out of range: {(p, a)}")
-            if a not in self.alphabet:
+            if a not in symbols:
                 raise ValueError(f"transition symbol {a!r} not in alphabet")
 
 
@@ -73,8 +76,9 @@ class Dfa:
         states = range(self.state_count)
         if self.start not in states or not self.accepting <= set(states):
             raise ValueError("start/accepting state out of range")
+        symbols = self.alphabet.symbols
         for p in states:
-            for a in self.alphabet:
+            for a in symbols:
                 if (p, a) not in self.transitions:
                     raise ValueError(f"missing transition ({p}, {a!r})")
 
@@ -297,6 +301,14 @@ def subset_construct(nfa: Nfa, alphabet: Alphabet) -> Dfa:
     Only reachable state subsets are materialized; the empty subset acts as
     the sink when some symbol leads nowhere.  State ids follow breadth-first
     discovery order, so the construction is deterministic.
+
+    Subsets are bitmasks.  Walking the alphabet in order, a letter joins the
+    previous letter group when the states it enters are disjoint from those
+    the group enters; then δ(S, a) = succ_g(S) & enters(a), where succ_g(S)
+    is the union of the group's rows over S.  A position automaton is
+    homogeneous (every edge into q reads q's letter), so it forms one group
+    and each subset needs one union.  The union is read a byte of S at a
+    time from a per-group table whose entries are filled on first use.
     """
     used = {a for (_, a) in nfa.transitions}
     extra = used - set(alphabet)
@@ -305,45 +317,70 @@ def subset_construct(nfa: Nfa, alphabet: Alphabet) -> Dfa:
             f"alphabet is missing symbol(s) {''.join(sorted(extra))!r}"
         )
 
-    # Bitmask-encoded subsets keep determinization cheap for large NFAs.
-    succ_mask: dict[str, list[int]] = {
-        a: [0] * nfa.state_count for a in alphabet
-    }
+    n = nfa.state_count
+    rows = {a: [0] * n for a in alphabet.symbols}
     for (p, a), targets in nfa.transitions.items():
         mask = 0
         for q in targets:
             mask |= 1 << q
-        succ_mask[a][p] |= mask
-    accept_mask = 0
-    for q in nfa.accepting:
-        accept_mask |= 1 << q
+        rows[a][p] = mask
+
+    # A group is (its rows, its byte table, its (letter, enters) pairs).
+    # Table entry (c << 8) | b is the union of the rows of byte c's members
+    # when that byte of a subset reads b.
+    table_size = (n + 7) >> 3 << 8
+    groups = []
+    group_enters = 0
+    for a, letter_rows in rows.items():
+        entered = reduce(or_, letter_rows)  # the states that a leads into
+        if groups and not entered & group_enters:
+            group_rows, _, letters = groups[-1]
+            group_rows[:] = map(or_, group_rows, letter_rows)
+            group_enters |= entered
+        else:
+            letters = []
+            groups.append((letter_rows, [None] * table_size, letters))
+            group_enters = entered
+        letters.append((a, entered))
 
     start_mask = 0
     for q in nfa.initial:
         start_mask |= 1 << q
-
-    symbols = list(alphabet)
     id_of = {start_mask: 0}
     masks = [start_mask]
     transitions: dict[tuple[int, str], int] = {}
-    queue = deque([start_mask])
-    while queue:
-        mask = queue.popleft()
-        state = id_of[mask]
-        for a in symbols:
-            rows = succ_mask[a]
-            nxt = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                nxt |= rows[low.bit_length() - 1]
-                rest ^= low
-            if nxt not in id_of:
-                id_of[nxt] = len(masks)
-                masks.append(nxt)
-                queue.append(nxt)
-            transitions[(state, a)] = id_of[nxt]
+    for state, mask in enumerate(masks):  # the list doubles as the BFS queue
+        # Only the bytes from the lowest to the highest member are read;
+        # mask ^ (mask - 1) keeps the lowest member and the bits below it.
+        low = (mask ^ (mask - 1)).bit_length() - 1 >> 3
+        span = mask >> (low << 3)
+        data = span.to_bytes((span.bit_length() + 7) >> 3, "little")
+        for group_rows, table, letters in groups:
+            succ = 0
+            key = low << 8
+            for byte in data:
+                if byte:
+                    union = table[key | byte]
+                    if union is None:  # first use: OR the byte's rows
+                        union, bits, first = 0, byte, key >> 5
+                        while bits:
+                            lowest = bits & -bits
+                            union |= group_rows[first + lowest.bit_length() - 1]
+                            bits ^= lowest
+                        table[key | byte] = union
+                    succ |= union
+                key += 256
+            for a, entered in letters:
+                nxt = succ & entered
+                target = id_of.get(nxt)
+                if target is None:
+                    target = id_of[nxt] = len(masks)
+                    masks.append(nxt)
+                transitions[(state, a)] = target
 
+    accept_mask = 0
+    for q in nfa.accepting:
+        accept_mask |= 1 << q
     accepting = frozenset(
         i for i, mask in enumerate(masks) if mask & accept_mask
     )
@@ -373,11 +410,12 @@ def complement(dfa: Dfa) -> Dfa:
 def trim_useful(dfa: Dfa) -> TrimmedView:
     """Restrict to states reachable from the start and co-reachable to an
     accepting state.  The language is unchanged."""
+    symbols = dfa.alphabet.symbols
     reachable = {dfa.start}
     queue = deque([dfa.start])
     while queue:
         p = queue.popleft()
-        for a in dfa.alphabet:
+        for a in symbols:
             q = dfa.transitions[(p, a)]
             if q not in reachable:
                 reachable.add(q)
@@ -437,13 +475,11 @@ def is_infinite(dfa: Dfa) -> bool:
 def _successor_arrays(dfa: Dfa) -> list[np.ndarray]:
     """Per-symbol successor arrays (symbols in alphabet order); entry p of
     the array for symbol a is the state reached from p on a."""
-    arrays = []
-    for a in dfa.alphabet:
-        succ = np.empty(dfa.state_count, dtype=np.intp)
-        for p in range(dfa.state_count):
-            succ[p] = dfa.transitions[(p, a)]
-        arrays.append(succ)
-    return arrays
+    transitions, states = dfa.transitions, range(dfa.state_count)
+    return [
+        np.array([transitions[(p, a)] for p in states], dtype=np.intp)
+        for a in dfa.alphabet.symbols
+    ]
 
 
 def _lex_smallest_accepted(
@@ -523,10 +559,11 @@ def _longest_path(
     order are already known; None when the view is empty."""
     if not order:
         return None
+    symbols = dfa.alphabet.symbols
     best: dict[int, int] = {}
     for p in reversed(order):
         candidates = [0] if p in view.accepting else []
-        for a in dfa.alphabet:
+        for a in symbols:
             q = view.transitions.get((p, a))
             if q is not None:
                 candidates.append(1 + best[q])

@@ -8,6 +8,7 @@ bug rather than a shared one.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
@@ -20,9 +21,17 @@ from .regex import (
     Star,
     Symbol,
     Union,
+    fold,
 )
 
 DEFAULT_BUDGET = 2**22
+
+# Interpreter stack levels the recursive matcher spends per tree level: a
+# Union calls _match directly, a Concat or Star goes through any() over a
+# generator.  The word-tree walk of bruteforce_cofinite spends one per
+# letter, and the callers' frames get _STACK_RESERVE.
+_NODE_LEVELS = {Union: 1, Concat: 3, Star: 3}
+_STACK_RESERVE = 100
 
 
 class Matcher:
@@ -69,6 +78,16 @@ class Matcher:
                 raise TypeError(f"not a regex node: {node!r}")
         self._memo[key] = result
         return result
+
+
+def _tree_depth_and_levels(ast: RegexAst) -> tuple[int, int]:
+    """The tree's depth, and the stack levels Matcher can need on it."""
+    def visit(node: RegexAst, below: tuple) -> tuple[int, int]:
+        depth = max((d for d, _ in below), default=0)
+        levels = max((n for _, n in below), default=0)
+        return depth + 1, levels + _NODE_LEVELS.get(type(node), 1)
+
+    return fold(ast, visit)
 
 
 def regex_match(ast: RegexAst, word: str) -> bool:
@@ -139,6 +158,10 @@ def bruteforce_cofinite(
     the report carries a verdict: the closure is not co-finite iff some
     word of length in [b, 2b) is missing, and otherwise the longest missing
     word (all of which lie below b) gives the Frobenius length.
+
+    Raises BudgetExceeded when the word count exceeds ``budget``, or when
+    the tree is too deep, or the horizon too long, for the recursive
+    matcher and the word-tree walk to fit the interpreter's stack.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -152,6 +175,15 @@ def bruteforce_cofinite(
     if total > budget:
         raise BudgetExceeded(
             f"enumerating {total} words exceeds the budget of {budget}"
+        )
+
+    depth, levels = _tree_depth_and_levels(ast)
+    limit = sys.getrecursionlimit() - _STACK_RESERVE
+    if levels + horizon > limit:
+        raise BudgetExceeded(
+            f"a syntax tree of depth {depth} at horizon {horizon} needs "
+            f"about {levels + horizon} stack levels in the recursive "
+            f"matcher, more than the {limit} available"
         )
 
     matcher = Matcher(ast)

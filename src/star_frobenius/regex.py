@@ -228,12 +228,18 @@ def fold(ast: RegexAst, visit: Callable[[RegexAst, tuple], T]) -> T:
 _UNION, _CONCAT, _STAR, _ATOM = range(4)
 
 
-def _wrap(child: tuple[str, int], strength: int) -> str:
-    text, own = child
-    return text if own >= strength else "(" + text + ")"
+# A node's printed form is a rope: a string, or a tuple of ropes to be
+# printed in order.  Building one costs O(1) per node, where joining the
+# children's strings would copy a left-deep chain's text at every level.
+_Rope = TypingUnion[str, tuple]
 
 
-def _format_node(node: RegexAst, children: tuple) -> tuple[str, int]:
+def _wrap(child: tuple[_Rope, int], strength: int) -> _Rope:
+    rope, own = child
+    return rope if own >= strength else ("(", rope, ")")
+
+
+def _format_node(node: RegexAst, children: tuple) -> tuple[_Rope, int]:
     match node:
         case Symbol(letter):
             return letter, _ATOM
@@ -243,18 +249,26 @@ def _format_node(node: RegexAst, children: tuple) -> tuple[str, int]:
             return "∅", _ATOM
         case Union():
             left, right = children
-            return left[0] + "+" + _wrap(right, _CONCAT), _UNION
+            return (left[0], "+", _wrap(right, _CONCAT)), _UNION
         case Concat():
             left, right = children
-            return _wrap(left, _CONCAT) + _wrap(right, _STAR), _CONCAT
+            return (_wrap(left, _CONCAT), _wrap(right, _STAR)), _CONCAT
         case Star():
-            return _wrap(children[0], _STAR) + "*", _STAR
+            return (_wrap(children[0], _STAR), "*"), _STAR
     raise TypeError(f"not a regex node: {node!r}")
 
 
 def format_regex(ast: RegexAst) -> str:
     """Print a tree so that re-parsing yields a structurally identical tree."""
-    return fold(ast, _format_node)[0]
+    pieces: list[str] = []
+    stack = [fold(ast, _format_node)[0]]
+    while stack:
+        rope = stack.pop()
+        if isinstance(rope, str):
+            pieces.append(rope)
+        else:
+            stack.extend(reversed(rope))
+    return "".join(pieces)
 
 
 def symbol_length(ast: RegexAst) -> int:

@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 
@@ -7,6 +8,7 @@ from star_frobenius import (
     Alphabet,
     AlphabetMismatch,
     alphabet_of,
+    Concat,
     Dfa,
     InfiniteLanguage,
     Nfa,
@@ -30,6 +32,7 @@ from star_frobenius import (
     subset_construct,
     symbol_length,
     trim_useful,
+    Union,
     verify_rejected,
     window_accepts,
     words_to_regex,
@@ -104,6 +107,132 @@ def test_subset_construct_sink_for_foreign_letter():
 def test_subset_construct_alphabet_mismatch():
     with pytest.raises(AlphabetMismatch):
         subset_construct(glushkov_star(parse_regex("ab")), Alphabet("a"))
+
+
+def reference_subset_construct(nfa, alphabet):
+    """Plain subset construction: for every subset and every letter, the
+    union of that letter's rows over the subset's members, one bit at a
+    time; states are numbered in breadth-first order."""
+    rows = {a: [0] * nfa.state_count for a in alphabet}
+    for (p, a), targets in nfa.transitions.items():
+        for q in targets:
+            rows[a][p] |= 1 << q
+    start = sum(1 << q for q in nfa.initial)
+    id_of = {start: 0}
+    masks = [start]
+    transitions = {}
+    for state, mask in enumerate(masks):
+        for a in alphabet:
+            nxt = 0
+            rest = mask
+            while rest:
+                low = rest & -rest
+                nxt |= rows[a][low.bit_length() - 1]
+                rest ^= low
+            if nxt not in id_of:
+                id_of[nxt] = len(masks)
+                masks.append(nxt)
+            transitions[(state, a)] = id_of[nxt]
+    accept = sum(1 << q for q in nfa.accepting)
+    accepting = frozenset(i for i, m in enumerate(masks) if m & accept)
+    return Dfa(len(masks), alphabet, 0, accepting, transitions)
+
+
+def assert_same_dfa(nfa, alphabet):
+    dfa = subset_construct(nfa, alphabet)
+    assert dfa == reference_subset_construct(nfa, alphabet)
+    return dfa
+
+
+def test_subset_construct_matches_reference_on_random_regexes():
+    rng = random.Random(31)
+    for _ in range(150):
+        letters = rng.choice(["a", "ab", "abc"])
+        ast = reduce(
+            rng.choice([Concat, Union]),
+            [random_regex(rng, letters, 8) for _ in range(rng.randint(1, 5))],
+        )
+        for build in (glushkov, glushkov_star):
+            nfa = build(ast)
+            assert_same_dfa(nfa, nfa.alphabet)
+            assert_same_dfa(nfa, nfa.alphabet.union(Alphabet("bcd")))
+
+
+def random_nfa(rng):
+    n = rng.randint(1, 12) if rng.random() < 0.8 else rng.randint(13, 40)
+    alphabet = Alphabet(rng.sample("abc", rng.randint(0, 3)))
+    density = rng.choice([0.1, 0.3]) if n <= 12 else 0.05
+    transitions = {}
+    for p in range(n):
+        for a in alphabet:
+            targets = frozenset(q for q in range(n) if rng.random() < density)
+            if targets:
+                transitions[(p, a)] = targets
+    initial = frozenset(q for q in range(n) if rng.random() < 0.3)
+    accepting = frozenset(q for q in range(n) if rng.random() < 0.4)
+    return Nfa(n, alphabet, initial, accepting, transitions)
+
+
+def test_subset_construct_matches_reference_on_random_nfas():
+    rng = random.Random(47)
+    for _ in range(150):
+        nfa = random_nfa(rng)
+        for automaton in (nfa, star_closure(nfa)):
+            assert_same_dfa(automaton, automaton.alphabet)
+            assert_same_dfa(automaton, Alphabet("abc"))
+
+
+def nfa_with_edges(state_count, alphabet, edges):
+    transitions = {}
+    for p, a, q in edges:
+        transitions[(p, a)] = transitions.get((p, a), frozenset()) | {q}
+    return Nfa(
+        state_count,
+        Alphabet(alphabet),
+        frozenset({0}),
+        frozenset({state_count - 1}),
+        transitions,
+    )
+
+
+@pytest.mark.parametrize(
+    "nfa, alphabet",
+    [
+        # a and b both enter state 1, so they need separate letter groups
+        (nfa_with_edges(2, "ab", [(0, "a", 1), (0, "b", 1), (1, "a", 1)]), "ab"),
+        # a and c enter disjoint states, but b, between them, overlaps a
+        (
+            nfa_with_edges(
+                3, "abc", [(0, "a", 1), (1, "b", 1), (0, "c", 2), (2, "b", 0)]
+            ),
+            "abc",
+        ),
+        # only b overlaps: it shares state 1 with a and state 2 with c
+        (
+            nfa_with_edges(
+                3,
+                "abc",
+                [(0, "a", 1), (0, "b", 1), (1, "b", 2), (2, "c", 2), (1, "a", 0)],
+            ),
+            "abc",
+        ),
+        # declared letters that enter no state, first, between and last
+        (nfa_with_edges(3, "bd", [(0, "b", 1), (1, "d", 2), (2, "b", 0)]), "abcde"),
+        (glushkov_star(parse_regex("ab")), "abcd"),
+        # the empty alphabet: one state and no transitions
+        (nfa_with_edges(1, "", []), ""),
+        (star_closure(nfa_with_edges(2, "", [])), ""),
+    ],
+)
+def test_subset_construct_named_cases(nfa, alphabet):
+    dfa = assert_same_dfa(nfa, Alphabet(alphabet))
+    for word in words_up_to(alphabet, 5):
+        assert dfa_accepts(dfa, word) == nfa_accepts(nfa, word)
+
+
+def test_subset_construct_long_literal():
+    dfa = assert_same_dfa(glushkov_star(parse_regex("ab" * 1500)), Alphabet("ab"))
+    assert dfa.state_count == 3002
 
 
 def test_complement_involution():

@@ -5,7 +5,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
 from star_frobenius.cli import main
@@ -305,6 +305,13 @@ def test_decide_deep_literal(capsys):
     assert env["result"]["t"] == 3000
 
 
+def test_oracle_deep_literal_exit_4(capsys):
+    code, out, err = run(capsys, ["oracle", "ab" * 1500, "--horizon", "4"])
+    assert code == 4
+    assert out == ""
+    assert "depth 3000" in err
+
+
 def test_reduce_many_clauses(capsys, tmp_path):
     n, m = 12, 1000
     lines = [f"p cnf {n} {m}"]
@@ -374,3 +381,39 @@ def test_decide_regex_exits_cleanly(text, extra):
 @given(nfa_texts(), st.sampled_from([[], ["--alphabet", "abc"], ["--alphabet", "a"]]))
 def test_decide_nfa_exits_cleanly(text, extra):
     assert main_exit_code(["decide", "--nfa", *extra, text]) in (0, 2, 3, 4)
+
+
+@st.composite
+def dimacs_texts(draw):
+    """DIMACS-like texts over at most 4 variables.  Most clauses have three
+    distinct variables; some texts have a clause of another size, a literal
+    out of range, an unused variable, the wrong clause count or a stray line."""
+    n = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        if n >= 3 and draw(st.integers(0, 5)):
+            variables = draw(st.permutations(range(1, n + 1)))[:3]
+        else:
+            variables = draw(st.lists(st.integers(1, n + 1), min_size=1, max_size=4))
+        signs = draw(st.lists(st.booleans(), min_size=4, max_size=4))
+        literals = (v if s else -v for v, s in zip(variables, signs))
+        lines.append(" ".join(map(str, literals)) + " 0")
+    m = len(lines) + draw(st.sampled_from([0, 0, 0, 0, 1, -1]))
+    lines[:0] = ["c drawn at random", f"p cnf {n} {m}"]
+    if not draw(st.integers(0, 5)):
+        stray = draw(st.sampled_from(["p cnf 2 1", "1 x 0", "0", "p", "c", "1 2 3"]))
+        lines.insert(draw(st.integers(0, len(lines))), stray)
+    return "\n".join(lines) + "\n"
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(dimacs_texts())
+def test_reduce_decide_exits_cleanly(tmp_path, text):
+    path = tmp_path / "drawn.cnf"
+    path.write_text(text, encoding="utf-8")
+    assert main_exit_code(["reduce", str(path), "--decide"]) in (0, 2, 3, 4)
