@@ -9,11 +9,15 @@ boolean reachability-matrix verifier for candidate rejected words.
 All automata are immutable after construction; states are dense integer
 ids.  The starred position automaton of an expression with t symbol
 occurrences has exactly t + 1 states.
+A DFA's transitions are one flat list: entry p·|Σ| + i is the state
+reached from p on the i-th letter, and ``Dfa.row(p)`` is p's slice.
+Every step after subset construction reads that list.  The longest
+witness is read off best[] greedily; numpy serves only ``window_accepts``.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
@@ -64,34 +68,35 @@ class Nfa:
 
 @dataclass(frozen=True)
 class Dfa:
-    """Complete deterministic automaton; the transition function is total."""
+    """Complete DFA; ``transitions[p * |Σ| + i]`` is δ(p, i-th letter)."""
 
     state_count: int
     alphabet: Alphabet
     start: int
     accepting: frozenset[int]
-    transitions: dict[tuple[int, str], int]
+    transitions: list[int]
 
     def __post_init__(self):
         states = range(self.state_count)
-        if self.start not in states or not self.accepting <= set(states):
+        if self.start not in states or any(q not in states for q in self.accepting):
             raise ValueError("start/accepting state out of range")
-        symbols = self.alphabet.symbols
-        for p in states:
-            for a in symbols:
-                if (p, a) not in self.transitions:
-                    raise ValueError(f"missing transition ({p}, {a!r})")
+        if len(self.transitions) != self.state_count * len(self.alphabet):
+            raise ValueError("transition table length is not |Q| * |alphabet|")
+
+    def row(self, p: int) -> list[int]:
+        """The states reached from p, one per letter in alphabet order."""
+        k = len(self.alphabet.symbols)
+        return self.transitions[p * k : p * k + k]
 
 
 @dataclass(frozen=True)
 class TrimmedView:
-    """States both reachable from the start and co-reachable to acceptance,
-    with the transition function restricted to them."""
+    """States both reachable from the start and co-reachable to acceptance;
+    their transitions are the DFA's rows restricted to ``states``."""
 
     states: frozenset[int]
     start: int | None
     accepting: frozenset[int]
-    transitions: dict[tuple[int, str], int]
 
 
 def _position_data(ast: RegexAst):
@@ -325,37 +330,37 @@ def subset_construct(nfa: Nfa, alphabet: Alphabet) -> Dfa:
             mask |= 1 << q
         rows[a][p] = mask
 
-    # A group is (its rows, its byte table, its (letter, enters) pairs).
+    # A group is (its rows, its byte table, the enters set of each letter).
     # Table entry (c << 8) | b is the union of the rows of byte c's members
     # when that byte of a subset reads b.
     table_size = (n + 7) >> 3 << 8
     groups = []
     group_enters = 0
-    for a, letter_rows in rows.items():
-        entered = reduce(or_, letter_rows)  # the states that a leads into
+    for letter_rows in rows.values():
+        entered = reduce(or_, letter_rows)  # the states the letter leads into
         if groups and not entered & group_enters:
-            group_rows, _, letters = groups[-1]
+            group_rows, _, enters = groups[-1]
             group_rows[:] = map(or_, group_rows, letter_rows)
             group_enters |= entered
         else:
-            letters = []
-            groups.append((letter_rows, [None] * table_size, letters))
+            enters = []
+            groups.append((letter_rows, [None] * table_size, enters))
             group_enters = entered
-        letters.append((a, entered))
+        enters.append(entered)
 
     start_mask = 0
     for q in nfa.initial:
         start_mask |= 1 << q
     id_of = {start_mask: 0}
     masks = [start_mask]
-    transitions: dict[tuple[int, str], int] = {}
-    for state, mask in enumerate(masks):  # the list doubles as the BFS queue
+    transitions: list[int] = []
+    for mask in masks:  # the list doubles as the BFS queue
         # Only the bytes from the lowest to the highest member are read;
         # mask ^ (mask - 1) keeps the lowest member and the bits below it.
         low = (mask ^ (mask - 1)).bit_length() - 1 >> 3
         span = mask >> (low << 3)
         data = span.to_bytes((span.bit_length() + 7) >> 3, "little")
-        for group_rows, table, letters in groups:
+        for group_rows, table, enters in groups:
             succ = 0
             key = low << 8
             for byte in data:
@@ -370,13 +375,13 @@ def subset_construct(nfa: Nfa, alphabet: Alphabet) -> Dfa:
                         table[key | byte] = union
                     succ |= union
                 key += 256
-            for a, entered in letters:
+            for entered in enters:
                 nxt = succ & entered
                 target = id_of.get(nxt)
                 if target is None:
                     target = id_of[nxt] = len(masks)
                     masks.append(nxt)
-                transitions[(state, a)] = target
+                transitions.append(target)
 
     accept_mask = 0
     for q in nfa.accepting:
@@ -388,16 +393,20 @@ def subset_construct(nfa: Nfa, alphabet: Alphabet) -> Dfa:
 
 
 def dfa_accepts(dfa: Dfa, word: str) -> bool:
+    index = {a: i for i, a in enumerate(dfa.alphabet.symbols)}
     state = dfa.start
     for ch in word:
-        if ch not in dfa.alphabet:
+        if ch not in index:
             return False
-        state = dfa.transitions[(state, ch)]
+        state = dfa.row(state)[index[ch]]
     return state in dfa.accepting
 
 
 def complement(dfa: Dfa) -> Dfa:
-    """Swap accepting and non-accepting states; requires a complete DFA."""
+    """Swap accepting and non-accepting states; requires a complete DFA.
+
+    The complement shares the transition table of ``dfa``.
+    """
     return Dfa(
         state_count=dfa.state_count,
         alphabet=dfa.alphabet,
@@ -410,132 +419,110 @@ def complement(dfa: Dfa) -> Dfa:
 def trim_useful(dfa: Dfa) -> TrimmedView:
     """Restrict to states reachable from the start and co-reachable to an
     accepting state.  The language is unchanged."""
-    symbols = dfa.alphabet.symbols
-    reachable = {dfa.start}
-    queue = deque([dfa.start])
-    while queue:
-        p = queue.popleft()
-        for a in symbols:
-            q = dfa.transitions[(p, a)]
-            if q not in reachable:
-                reachable.add(q)
+    reachable = [False] * dfa.state_count
+    reachable[dfa.start] = True
+    predecessors: list[list[int]] = [[] for _ in range(dfa.state_count)]
+    queue = [dfa.start]
+    for p in queue:  # the list doubles as the FIFO queue
+        for q in dfa.row(p):
+            predecessors[q].append(p)
+            if not reachable[q]:
+                reachable[q] = True
                 queue.append(q)
 
-    predecessors: dict[int, set[int]] = defaultdict(set)
-    for (p, _), q in dfa.transitions.items():
-        predecessors[q].add(p)
-    co_reachable = set(dfa.accepting)
-    queue = deque(co_reachable)
-    while queue:
-        q = queue.popleft()
+    # Every state on a path from a reachable state is reachable, so the
+    # reachable predecessors suffice for the backward search.
+    useful = [False] * dfa.state_count
+    queue = [q for q in dfa.accepting if reachable[q]]
+    for q in queue:
+        useful[q] = True
+    for q in queue:
         for p in predecessors[q]:
-            if p not in co_reachable:
-                co_reachable.add(p)
+            if not useful[p]:
+                useful[p] = True
                 queue.append(p)
 
-    useful = frozenset(reachable & co_reachable)
-    transitions = {
-        (p, a): q
-        for (p, a), q in dfa.transitions.items()
-        if p in useful and q in useful
-    }
+    states = frozenset(queue)
     return TrimmedView(
-        states=useful,
-        start=dfa.start if dfa.start in useful else None,
-        accepting=dfa.accepting & useful,
-        transitions=transitions,
+        states=states,
+        start=dfa.start if useful[dfa.start] else None,
+        accepting=dfa.accepting & states,
     )
 
 
-def topological_order(view: TrimmedView) -> list[int] | None:
+def topological_order(dfa: Dfa, view: TrimmedView) -> list[int] | None:
     """Kahn order of the view's states, or None when the view has a cycle.
 
     On a trimmed view a cycle means an infinite language; the order of an
     acyclic view is what the longest-path step runs over.
     """
     indegree = dict.fromkeys(view.states, 0)
-    successors: dict[int, list[int]] = defaultdict(list)
-    for (p, _), q in view.transitions.items():
-        successors[p].append(q)
-        indegree[q] += 1
+    for p in view.states:
+        for q in dfa.row(p):
+            if q in indegree:
+                indegree[q] += 1
     order = [p for p, d in indegree.items() if d == 0]
     for p in order:  # the list doubles as the FIFO queue
-        for q in successors[p]:
-            indegree[q] -= 1
-            if indegree[q] == 0:
-                order.append(q)
+        for q in dfa.row(p):
+            if q in indegree:
+                indegree[q] -= 1
+                if indegree[q] == 0:
+                    order.append(q)
     return order if len(order) == len(view.states) else None
 
 
 def is_infinite(dfa: Dfa) -> bool:
     """True iff the DFA's language is infinite (trimmed automaton has a cycle)."""
-    return topological_order(trim_useful(dfa)) is None
-
-
-def _successor_arrays(dfa: Dfa) -> list[np.ndarray]:
-    """Per-symbol successor arrays (symbols in alphabet order); entry p of
-    the array for symbol a is the state reached from p on a."""
-    transitions, states = dfa.transitions, range(dfa.state_count)
-    return [
-        np.array([transitions[(p, a)] for p in states], dtype=np.intp)
-        for a in dfa.alphabet.symbols
-    ]
-
-
-def _lex_smallest_accepted(
-    dfa: Dfa, length: int, successors: list[np.ndarray]
-) -> str:
-    """Lexicographically smallest accepted word of exactly this length.
-
-    Assumes one exists.  ``successors`` are the DFA's successor arrays.
-    Co-reachability layers are computed backward from the accepting states,
-    then a greedy forward walk picks the smallest viable symbol at each step.
-    """
-    layers = np.zeros((length + 1, dfa.state_count), dtype=bool)
-    layers[length, list(dfa.accepting)] = True
-    for j in range(length - 1, -1, -1):
-        target = layers[j + 1]
-        row = layers[j]
-        for succ in successors:
-            row |= target[succ]
-    state = dfa.start
-    assert layers[0, state], "no accepted word of the requested length"
-    symbols = list(dfa.alphabet)
-    out = []
-    for j in range(length):
-        for a, succ in zip(symbols, successors):
-            q = succ[state]
-            if layers[j + 1, q]:
-                out.append(a)
-                state = int(q)
-                break
-    return "".join(out)
+    return topological_order(dfa, trim_useful(dfa)) is None
 
 
 def window_accepts(dfa: Dfa, lo: int, hi: int) -> tuple[int, str] | None:
     """Smallest accepted length in [lo, hi) with its smallest witness word.
 
     Uses per-length layered reachability (the set of states reachable by
-    words of exactly each length); no word enumeration happens unless a
-    witness is reconstructed.
+    words of exactly each length), then walks forward through co-reachability
+    layers built backward from acceptance, taking the smallest viable letter.
     """
     if not 0 <= lo <= hi:
         raise ValueError("window must satisfy 0 <= lo <= hi")
-    successors = _successor_arrays(dfa)
-    accepting = np.zeros(dfa.state_count, dtype=bool)
+    n = dfa.state_count
+    # successors[i][p] is the state reached from p on the i-th letter; a
+    # list, since iterating a 2-D array makes a new view per row each time
+    table = np.array(dfa.transitions, dtype=np.intp)
+    successors = list(table.reshape(n, len(dfa.alphabet)).T.copy())
+    accepting = np.zeros(n, dtype=bool)
     accepting[list(dfa.accepting)] = True
-    current = np.zeros(dfa.state_count, dtype=bool)
+    current = np.zeros(n, dtype=bool)
     current[dfa.start] = True
     for length in range(hi):
         if length >= lo and bool((current & accepting).any()):
-            return length, _lex_smallest_accepted(dfa, length, successors)
+            break
         if not current.any():
             return None
-        nxt = np.zeros(dfa.state_count, dtype=bool)
+        nxt = np.zeros(n, dtype=bool)
         for succ in successors:
             nxt[succ[current]] = True
         current = nxt
-    return None
+    else:
+        return None
+
+    layers = np.zeros((length + 1, n), dtype=bool)
+    layers[length] = accepting
+    for j in range(length - 1, -1, -1):
+        target, row = layers[j + 1], layers[j]
+        for succ in successors:
+            row |= target[succ]
+    state = dfa.start
+    assert layers[0, state], "no accepted word of the requested length"
+    out = []
+    for j in range(length):
+        for a, succ in zip(dfa.alphabet.symbols, successors):
+            q = succ[state]
+            if layers[j + 1, q]:
+                out.append(a)
+                state = int(q)
+                break
+    return length, "".join(out)
 
 
 def longest_accepted(dfa: Dfa) -> tuple[int, str] | None:
@@ -546,7 +533,7 @@ def longest_accepted(dfa: Dfa) -> tuple[int, str] | None:
     the trimmed sub-automaton, which is a DAG for finite languages.
     """
     view = trim_useful(dfa)
-    order = topological_order(view)
+    order = topological_order(dfa, view)
     if order is None:
         raise InfiniteLanguage("language is infinite; no longest word exists")
     return _longest_path(dfa, view, order)
@@ -556,20 +543,29 @@ def _longest_path(
     dfa: Dfa, view: TrimmedView, order: list[int]
 ) -> tuple[int, str] | None:
     """longest_accepted for a DFA whose trimmed view and its topological
-    order are already known; None when the view is empty."""
+    order are already known; None when the view is empty.
+
+    best[p] is the longest accepted length from p, so each state on the run
+    of a longest word has best = the number of letters still to read.
+    """
     if not order:
         return None
-    symbols = dfa.alphabet.symbols
     best: dict[int, int] = {}
-    for p in reversed(order):
-        candidates = [0] if p in view.accepting else []
-        for a in symbols:
-            q = view.transitions.get((p, a))
-            if q is not None:
-                candidates.append(1 + best[q])
-        best[p] = max(candidates)
+    for p in reversed(order):  # a view successor of p is already in best
+        lengths = [best[q] + 1 for q in dfa.row(p) if q in best]
+        if p in view.accepting:
+            lengths.append(0)
+        best[p] = max(lengths)
     length = best[view.start]
-    return length, _lex_smallest_accepted(dfa, length, _successor_arrays(dfa))
+    symbols = dfa.alphabet.symbols
+    p, word = view.start, []
+    for r in range(length, 0, -1):
+        for a, q in zip(symbols, dfa.row(p)):
+            if best.get(q) == r - 1:
+                word.append(a)
+                p = q
+                break
+    return length, "".join(word)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ Every command prints one envelope::
 JSON output is deterministic (sorted keys); ``--timing`` adds a
 ``timing_ms`` field and is off by default so that identical invocations
 stay byte-identical.  Exit codes: 0 success, 2 input error, 3 semantic
-error (alphabet mismatch, gcd), 4 enumeration budget exceeded, 1 internal
-failure or selftest property violation.
+error (alphabet mismatch, gcd), 4 enumeration budget exceeded or out of
+memory, 1 internal failure or selftest property violation.
 """
 
 from __future__ import annotations
@@ -355,6 +355,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 4
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     _emit(args.command, echo, body, args, elapsed_ms)

@@ -89,7 +89,7 @@ def decide_cofinite(
     dfa = subset_construct(star_nfa, effective)
     comp = complement(dfa)
     view = trim_useful(comp)
-    order = topological_order(view)
+    order = topological_order(comp, view)
     n_prime = len(view.states)
     sizes = dict(
         nfa_states=star_nfa.state_count,

@@ -144,14 +144,12 @@ def test_criterion_3_oracle_agreement(corpus):
             continue
         conclusive += 1
         verdict = report.verdict
-        if (verdict.cofinite, verdict.frobenius_length) != (
-            result.cofinite,
-            result.frobenius_length,
-        ):
+        witness = result.witness if result.cofinite else result.window_witness[1]
+        pipeline = (result.cofinite, result.frobenius_length, witness)
+        if (verdict.cofinite, verdict.frobenius_length, verdict.witness) != pipeline:
             failures.append(
                 f"{format_regex(ast)!r} over {''.join(alphabet)}: "
-                f"oracle {verdict} vs pipeline "
-                f"({result.cofinite}, {result.frobenius_length})"
+                f"oracle {verdict} vs pipeline {pipeline}"
             )
     if conclusive != len(corpus):
         failures.append(f"only {conclusive}/{len(corpus)} runs were conclusive")

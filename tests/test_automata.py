@@ -120,8 +120,8 @@ def reference_subset_construct(nfa, alphabet):
     start = sum(1 << q for q in nfa.initial)
     id_of = {start: 0}
     masks = [start]
-    transitions = {}
-    for state, mask in enumerate(masks):
+    transitions = []
+    for mask in masks:
         for a in alphabet:
             nxt = 0
             rest = mask
@@ -132,7 +132,7 @@ def reference_subset_construct(nfa, alphabet):
             if nxt not in id_of:
                 id_of[nxt] = len(masks)
                 masks.append(nxt)
-            transitions[(state, a)] = id_of[nxt]
+            transitions.append(id_of[nxt])
     accept = sum(1 << q for q in nfa.accepting)
     accepting = frozenset(i for i, m in enumerate(masks) if m & accept)
     return Dfa(len(masks), alphabet, 0, accepting, transitions)
@@ -262,7 +262,7 @@ def test_trim_excludes_unreachable_accepting():
         alphabet=Alphabet("a"),
         start=0,
         accepting=frozenset({0, 2}),
-        transitions={(0, "a"): 0, (1, "a"): 2, (2, "a"): 2},
+        transitions=[0, 2, 2],
     )
     view = trim_useful(dfa)
     assert view.states == {0}
@@ -340,6 +340,19 @@ def test_longest_accepted_examples():
         subset_construct(glushkov_star(SIGMA34), Alphabet("FT"))
     )
     assert longest_accepted(sigma34_comp) == (5, "FFFFF")
+
+    # finite word sets W, not starred: the longest word of W is the
+    # greatest length in W, and its witness the smallest word of that length
+    rng = random.Random(61)
+    for _ in range(300):
+        words = {
+            "".join(rng.choice("ab") for _ in range(rng.randint(0, 9)))
+            for _ in range(rng.randint(1, 8))
+        }
+        dfa = subset_construct(glushkov(words_to_regex(words)), Alphabet("ab"))
+        length = max(map(len, words))
+        smallest = min(w for w in words if len(w) == length)
+        assert longest_accepted(dfa) == (length, smallest)
 
 
 def test_longest_accepted_rejects_infinite():
@@ -471,6 +484,21 @@ def test_nfa_rejects_bad_states_and_symbols(
 ):
     with pytest.raises(ValueError, match=message):
         Nfa(2, Alphabet("ab"), frozenset(initial), frozenset(accepting), transitions)
+
+
+@pytest.mark.parametrize(
+    "start, accepting, transitions, message",
+    [
+        (0, {1}, [0, 1, 1], "transition table length"),
+        (0, {1}, [0, 1, 1, 0, 0], "transition table length"),
+        (2, {1}, [0, 1, 1, 0], "start/accepting state out of range"),
+        (-1, {1}, [0, 1, 1, 0], "start/accepting state out of range"),
+        (0, {2}, [0, 1, 1, 0], "start/accepting state out of range"),
+    ],
+)
+def test_dfa_rejects_bad_table_and_states(start, accepting, transitions, message):
+    with pytest.raises(ValueError, match=message):
+        Dfa(2, Alphabet("ab"), start, frozenset(accepting), transitions)
 
 
 def test_star_closure_rejects_spurious_words():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
+from star_frobenius import cli
 from star_frobenius.cli import main
 
 GOLDEN_DIMACS = """\
@@ -310,6 +311,22 @@ def test_oracle_deep_literal_exit_4(capsys):
     assert code == 4
     assert out == ""
     assert "depth 3000" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["decide", "aa"], ["reduce", "cnf.txt", "--decide"]]
+)
+def test_memory_error_exit_4(capsys, monkeypatch, tmp_path, argv):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 48.6 GiB for an array")
+
+    monkeypatch.setattr(cli, "decide_cofinite", exhausted)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cnf.txt").write_text(GOLDEN_DIMACS)
+    code, out, err = run(capsys, argv)
+    assert code == 4
+    assert out == ""
+    assert err == "error: out of memory: Unable to allocate 48.6 GiB for an array\n"
 
 
 def test_reduce_many_clauses(capsys, tmp_path):

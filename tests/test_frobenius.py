@@ -90,7 +90,7 @@ def test_window_witness_is_pumpable():
         # locate a cycle on the accepting path and pump it 1..3 times
         path = [comp.start]
         for ch in word:
-            path.append(comp.transitions[(path[-1], ch)])
+            path.append(comp.row(path[-1])[alphabet.symbols.index(ch)])
         first_visit = {}
         loop = None
         for index, state in enumerate(path):
@@ -118,9 +118,7 @@ def test_frobenius_maximality_layers():
         for level in range(result.frobenius_length + result.trimmed_complement_states + 1):
             if level > result.frobenius_length:
                 assert not (current & comp.accepting)
-            current = {
-                comp.transitions[(p, a)] for p in current for a in alphabet
-            }
+            current = {q for p in current for q in comp.row(p)}
 
 
 def test_finite_set_two_or_three():
