@@ -9,15 +9,17 @@ boolean reachability-matrix verifier for candidate rejected words.
 All automata are immutable after construction; states are dense integer
 ids.  The starred position automaton of an expression with t symbol
 occurrences has exactly t + 1 states.
-A DFA's transitions are one flat list: entry p·|Σ| + i is the state
-reached from p on the i-th letter, and ``Dfa.row(p)`` is p's slice.
-Every step after subset construction reads that list.  The longest
-witness is read off best[] greedily; numpy serves only ``window_accepts``.
+Both automata keep their transitions in one flat list with one layout:
+entry p·|Σ| + i belongs to state p and the i-th letter, and ``row(p)`` is
+p's slice.  An NFA entry is the bitmask of the states reached, so letter
+i's rows are the slice ``transitions[i::|Σ|]``; a DFA entry is the id of
+the one state reached.  Every step after subset construction reads the
+DFA's list.  The longest witness is read off best[] greedily; numpy
+serves only ``window_accepts``.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
@@ -44,30 +46,57 @@ from .regex import (
 )
 
 
+def _mask(states) -> int:
+    """The bitmask of a set of state ids."""
+    return reduce(or_, (1 << q for q in states), 0)
+
+
+def _members(mask: int):
+    """The state ids in a bitmask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _Table:
+    """The layout both automata share: entry p·|Σ| + i is p's on letter i."""
+
+    def row(self, p: int) -> list[int]:
+        """p's entries, one per letter in alphabet order."""
+        k = len(self.alphabet.symbols)
+        return self.transitions[p * k : p * k + k]
+
+
 @dataclass(frozen=True)
-class Nfa:
-    """Nondeterministic automaton; ``transitions[(p, a)]`` is a state set."""
+class Nfa(_Table):
+    """Nondeterministic automaton; ``transitions[p * |Σ| + i]`` is the
+    bitmask of the states reached from p on the i-th letter."""
 
     state_count: int
     alphabet: Alphabet
     initial: frozenset[int]
     accepting: frozenset[int]
-    transitions: dict[tuple[int, str], frozenset[int]]
+    transitions: list[int]
 
     def __post_init__(self):
         states = frozenset(range(self.state_count))
         if not self.initial <= states or not self.accepting <= states:
             raise ValueError("initial/accepting state out of range")
-        symbols = self.alphabet.symbols
-        for (p, a), targets in self.transitions.items():
-            if p not in states or not targets <= states:
-                raise ValueError(f"transition state out of range: {(p, a)}")
-            if a not in symbols:
-                raise ValueError(f"transition symbol {a!r} not in alphabet")
+        if len(self.transitions) != self.state_count * len(self.alphabet):
+            raise ValueError("transition table length is not |Q| * |alphabet|")
+        masks = self.transitions
+        if min(masks, default=0) < 0 or max(masks, default=0) >> self.state_count:
+            raise ValueError("transition state out of range")
+
+    def image(self, mask: int, i: int) -> int:
+        """The states reached from those in ``mask`` on the i-th letter."""
+        k = len(self.alphabet.symbols)
+        return reduce(or_, (self.transitions[p * k + i] for p in _members(mask)), 0)
 
 
 @dataclass(frozen=True)
-class Dfa:
+class Dfa(_Table):
     """Complete DFA; ``transitions[p * |Σ| + i]`` is δ(p, i-th letter)."""
 
     state_count: int
@@ -83,11 +112,6 @@ class Dfa:
         if len(self.transitions) != self.state_count * len(self.alphabet):
             raise ValueError("transition table length is not |Q| * |alphabet|")
 
-    def row(self, p: int) -> list[int]:
-        """The states reached from p, one per letter in alphabet order."""
-        k = len(self.alphabet.symbols)
-        return self.transitions[p * k : p * k + k]
-
 
 @dataclass(frozen=True)
 class TrimmedView:
@@ -100,47 +124,45 @@ class TrimmedView:
 
 
 def _position_data(ast: RegexAst):
-    """Number the Symbol leaves 1..t left to right and compute the
-    nullable/first/last/follow structure."""
-    letters: dict[int, str] = {}
-    follow: dict[int, set[int]] = defaultdict(set)
+    """Number the Symbol leaves 1..t left to right and compute nullable,
+    last, follow and labelled as bitmasks: follow[p] may come after p (after
+    position 0, the first set), and labelled[a] holds letter a's positions."""
+    labelled: dict[str, int] = {}
+    follow = [0]
 
-    def visit(
-        node: RegexAst, children: tuple
-    ) -> tuple[bool, frozenset[int], frozenset[int]]:
+    def add_follow(last: int, successors: int) -> None:
+        if successors:
+            for p in _members(last):
+                follow[p] |= successors
+
+    def visit(node: RegexAst, children: tuple) -> tuple[bool, int, int]:
         match node:
             case EmptySet():
-                return False, frozenset(), frozenset()
+                return False, 0, 0
             case Epsilon():
-                return True, frozenset(), frozenset()
+                return True, 0, 0
             case Symbol(letter):
-                pos = len(letters) + 1
-                letters[pos] = letter
-                singleton = frozenset({pos})
+                singleton = 1 << len(follow)
+                follow.append(0)
+                labelled[letter] = labelled.get(letter, 0) | singleton
                 return False, singleton, singleton
             case Union():
                 (nl, fl, ll), (nr, fr, lr) = children
                 return nl or nr, fl | fr, ll | lr
             case Concat():
                 (nl, fl, ll), (nr, fr, lr) = children
-                for p in ll:
-                    follow[p] |= fr
+                add_follow(ll, fr)
                 first = fl | fr if nl else fl
                 last = lr | ll if nr else lr
                 return nl and nr, first, last
             case Star():
                 ((nc, fc, lc),) = children
-                for p in lc:
-                    follow[p] |= fc
+                add_follow(lc, fc)
                 return True, fc, lc
         raise TypeError(f"not a regex node: {node!r}")
 
-    nullable, first, last = fold(ast, visit)
-    return letters, follow, nullable, first, last
-
-
-def _freeze(trans: dict[tuple[int, str], set[int]]):
-    return {key: frozenset(val) for key, val in trans.items() if val}
+    nullable, follow[0], last = fold(ast, visit)
+    return labelled, follow, nullable, last
 
 
 def glushkov(ast: RegexAst, alphabet: Alphabet | None = None) -> Nfa:
@@ -149,21 +171,19 @@ def glushkov(ast: RegexAst, alphabet: Alphabet | None = None) -> Nfa:
     ``alphabet``, when given, must cover the symbols of ``ast`` and widens
     the automaton's declared alphabet (useful when the expression is to be
     judged relative to a larger symbol set).
+
+    The automaton is homogeneous (every edge into q reads q's letter), so
+    p's entry for letter a is follow(p) & the positions labelled a.
     """
-    letters, follow, nullable, first, last = _position_data(ast)
-    trans: dict[tuple[int, str], set[int]] = defaultdict(set)
-    for p in first:
-        trans[(0, letters[p])].add(p)
-    for p, successors in follow.items():
-        for q in successors:
-            trans[(p, letters[q])].add(q)
-    accepting = frozenset(last) | (frozenset({0}) if nullable else frozenset())
+    labelled, follow, nullable, last = _position_data(ast)
+    effective = resolve_alphabet(Alphabet(labelled), alphabet)
+    masks = [labelled.get(a, 0) for a in effective.symbols]
     return Nfa(
-        state_count=len(letters) + 1,
-        alphabet=resolve_alphabet(Alphabet(set(letters.values())), alphabet),
+        state_count=len(follow),
+        alphabet=effective,
         initial=frozenset({0}),
-        accepting=accepting,
-        transitions=_freeze(trans),
+        accepting=frozenset(_members(last | nullable)),  # 0 iff nullable
+        transitions=[successors & m for successors in follow for m in masks],
     )
 
 
@@ -179,15 +199,12 @@ def glushkov_star(ast: RegexAst, alphabet: Alphabet | None = None) -> Nfa:
 
 def nfa_accepts(nfa: Nfa, word: str) -> bool:
     """Direct subset simulation of one word."""
-    current = set(nfa.initial)
+    symbols, current = nfa.alphabet.symbols, _mask(nfa.initial)
     for ch in word:
-        nxt: set[int] = set()
-        for p in current:
-            nxt |= nfa.transitions.get((p, ch), frozenset())
-        current = nxt
-        if not current:
-            break
-    return bool(current & nfa.accepting)
+        if not current or ch not in symbols:
+            return False
+        current = nfa.image(current, symbols.index(ch))
+    return bool(current & _mask(nfa.accepting))
 
 
 def star_closure(nfa: Nfa) -> Nfa:
@@ -199,24 +216,20 @@ def star_closure(nfa: Nfa) -> Nfa:
     the old initial states accepts spurious words whenever one of them can
     be re-entered mid-run.
     """
+    k = len(nfa.alphabet.symbols)
+    fresh_row = [0] * k
+    for p in nfa.initial:
+        fresh_row = list(map(or_, fresh_row, nfa.row(p)))
+    table = list(nfa.transitions)
+    for f in nfa.accepting:
+        table[f * k : f * k + k] = map(or_, nfa.row(f), fresh_row)
     fresh = nfa.state_count
-    trans: dict[tuple[int, str], set[int]] = {
-        key: set(val) for key, val in nfa.transitions.items()
-    }
-    initial_out: dict[str, set[int]] = defaultdict(set)
-    for (p, a), targets in nfa.transitions.items():
-        if p in nfa.initial:
-            initial_out[a] |= targets
-    for a, targets in initial_out.items():
-        trans.setdefault((fresh, a), set()).update(targets)
-        for f in nfa.accepting:
-            trans.setdefault((f, a), set()).update(targets)
     return Nfa(
-        state_count=nfa.state_count + 1,
+        state_count=fresh + 1,
         alphabet=nfa.alphabet,
         initial=frozenset({fresh}),
         accepting=nfa.accepting | {fresh},
-        transitions=_freeze(trans),
+        transitions=table + fresh_row,
     )
 
 
@@ -238,7 +251,6 @@ def parse_nfa(text: str) -> Nfa:
     alphabet = Alphabet()
     initial: frozenset[int] = frozenset()
     accepting: frozenset[int] = frozenset()
-    trans: dict[tuple[int, str], set[int]] = defaultdict(set)
     stage = 0
 
     def ids(tokens: list[str], lineno: int) -> frozenset[int]:
@@ -278,6 +290,7 @@ def parse_nfa(text: str) -> Nfa:
                     alphabet = Alphabet(symbols)
                 except ValueError as exc:
                     raise NfaFormatError(str(exc), lineno)
+                table = [0] * (state_count * len(alphabet))
             elif keyword == "initial":
                 initial = ids(tokens[1:], lineno)
             else:
@@ -291,13 +304,13 @@ def parse_nfa(text: str) -> Nfa:
         (q,) = ids([dst], lineno)
         if sym not in alphabet:
             raise NfaFormatError(f"symbol {sym!r} not in alphabet", lineno)
-        trans[(p, sym)].add(q)
+        table[p * len(alphabet) + alphabet.symbols.index(sym)] |= 1 << q
 
     if stage < 4:
         raise NfaFormatError(
             f"missing '{header[stage]}' line", len(text.splitlines()) + 1
         )
-    return Nfa(state_count, alphabet, initial, accepting, _freeze(trans))
+    return Nfa(state_count, alphabet, initial, accepting, table)
 
 
 def subset_construct(nfa: Nfa, alphabet: Alphabet) -> Dfa:
@@ -315,20 +328,16 @@ def subset_construct(nfa: Nfa, alphabet: Alphabet) -> Dfa:
     and each subset needs one union.  The union is read a byte of S at a
     time from a per-group table whose entries are filled on first use.
     """
-    used = {a for (_, a) in nfa.transitions}
-    extra = used - set(alphabet)
+    k = len(nfa.alphabet.symbols)
+    own = {a: nfa.transitions[i::k] for i, a in enumerate(nfa.alphabet.symbols)}
+    extra = "".join(a for a, col in own.items() if any(col) and a not in alphabet)
     if extra:
-        raise AlphabetMismatch(
-            f"alphabet is missing symbol(s) {''.join(sorted(extra))!r}"
-        )
+        raise AlphabetMismatch(f"alphabet is missing symbol(s) {extra!r}")
 
+    # A letter the NFA lacks leads nowhere.  Each list is a new one, since a
+    # group ORs its later letters' rows into its first letter's list.
     n = nfa.state_count
-    rows = {a: [0] * n for a in alphabet.symbols}
-    for (p, a), targets in nfa.transitions.items():
-        mask = 0
-        for q in targets:
-            mask |= 1 << q
-        rows[a][p] = mask
+    rows = [own.get(a) or [0] * n for a in alphabet.symbols]
 
     # A group is (its rows, its byte table, the enters set of each letter).
     # Table entry (c << 8) | b is the union of the rows of byte c's members
@@ -336,7 +345,7 @@ def subset_construct(nfa: Nfa, alphabet: Alphabet) -> Dfa:
     table_size = (n + 7) >> 3 << 8
     groups = []
     group_enters = 0
-    for letter_rows in rows.values():
+    for letter_rows in rows:
         entered = reduce(or_, letter_rows)  # the states the letter leads into
         if groups and not entered & group_enters:
             group_rows, _, enters = groups[-1]
@@ -348,9 +357,7 @@ def subset_construct(nfa: Nfa, alphabet: Alphabet) -> Dfa:
             group_enters = entered
         enters.append(entered)
 
-    start_mask = 0
-    for q in nfa.initial:
-        start_mask |= 1 << q
+    start_mask = _mask(nfa.initial)
     id_of = {start_mask: 0}
     masks = [start_mask]
     transitions: list[int] = []
@@ -383,9 +390,7 @@ def subset_construct(nfa: Nfa, alphabet: Alphabet) -> Dfa:
                     masks.append(nxt)
                 transitions.append(target)
 
-    accept_mask = 0
-    for q in nfa.accepting:
-        accept_mask |= 1 << q
+    accept_mask = _mask(nfa.accepting)
     accepting = frozenset(
         i for i, mask in enumerate(masks) if mask & accept_mask
     )
@@ -482,10 +487,16 @@ def window_accepts(dfa: Dfa, lo: int, hi: int) -> tuple[int, str] | None:
     Uses per-length layered reachability (the set of states reachable by
     words of exactly each length), then walks forward through co-reachability
     layers built backward from acceptance, taking the smallest viable letter.
+    The (lo + 1) × |Q| layer matrix is allocated before the forward pass, so
+    a window too large for memory raises MemoryError at once; a longer word
+    adds one row per extra length.
     """
     if not 0 <= lo <= hi:
         raise ValueError("window must satisfy 0 <= lo <= hi")
+    if lo == hi:
+        return None
     n = dfa.state_count
+    layers = list(np.zeros((lo + 1, n), dtype=bool))  # a view per length
     # successors[i][p] is the state reached from p on the i-th letter; a
     # list, since iterating a 2-D array makes a new view per row each time
     table = np.array(dfa.transitions, dtype=np.intp)
@@ -506,19 +517,19 @@ def window_accepts(dfa: Dfa, lo: int, hi: int) -> tuple[int, str] | None:
     else:
         return None
 
-    layers = np.zeros((length + 1, n), dtype=bool)
+    layers += [np.zeros(n, dtype=bool) for _ in range(length - lo)]
     layers[length] = accepting
     for j in range(length - 1, -1, -1):
         target, row = layers[j + 1], layers[j]
         for succ in successors:
             row |= target[succ]
     state = dfa.start
-    assert layers[0, state], "no accepted word of the requested length"
+    assert layers[0][state], "no accepted word of the requested length"
     out = []
     for j in range(length):
         for a, succ in zip(dfa.alphabet.symbols, successors):
             q = succ[state]
-            if layers[j + 1, q]:
+            if layers[j + 1][q]:
                 out.append(a)
                 state = int(q)
                 break
@@ -589,27 +600,16 @@ class ReachabilityMatrix:
     def for_letter(cls, nfa: Nfa, symbol: str) -> "ReachabilityMatrix":
         if symbol not in nfa.alphabet:
             raise UnknownSymbol(f"symbol {symbol!r} not in the NFA alphabet")
-        rows = []
-        for p in range(nfa.state_count):
-            mask = 0
-            for q in nfa.transitions.get((p, symbol), frozenset()):
-                mask |= 1 << q
-            rows.append(mask)
-        return cls(nfa.state_count, tuple(rows))
+        i, k = nfa.alphabet.symbols.index(symbol), len(nfa.alphabet)
+        return cls(nfa.state_count, tuple(nfa.transitions[i::k]))
 
     def multiply(self, other: "ReachabilityMatrix") -> "ReachabilityMatrix":
         if self.dimension != other.dimension:
             raise ValueError("dimension mismatch")
-        new_rows = []
-        for row in self.rows:
-            acc = 0
-            rest = row
-            while rest:
-                low = rest & -rest
-                acc |= other.rows[low.bit_length() - 1]
-                rest ^= low
-            new_rows.append(acc)
-        return ReachabilityMatrix(self.dimension, tuple(new_rows))
+        rows = tuple(
+            reduce(or_, (other.rows[q] for q in _members(row)), 0) for row in self.rows
+        )
+        return ReachabilityMatrix(self.dimension, rows)
 
     def entry(self, p: int, q: int) -> bool:
         return bool(self.rows[p] >> q & 1)
@@ -625,7 +625,5 @@ def verify_rejected(nfa: Nfa, word: str) -> bool:
     matrix = ReachabilityMatrix.identity(nfa.state_count)
     for ch in word:
         matrix = matrix.multiply(ReachabilityMatrix.for_letter(nfa, ch))
-    accept_mask = 0
-    for q in nfa.accepting:
-        accept_mask |= 1 << q
+    accept_mask = _mask(nfa.accepting)
     return not any(matrix.rows[i] & accept_mask for i in nfa.initial)

@@ -13,11 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from operator import or_
 from typing import Iterable, Sequence
 
 from .automata import (
     Nfa,
     _longest_path,
+    _mask,
     complement,
     glushkov,
     glushkov_star,
@@ -184,19 +186,15 @@ def length_spectrum(
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     nfa = source if isinstance(source, Nfa) else glushkov(source)
-    current = set(nfa.initial)
+    current, accept = _mask(nfa.initial), _mask(nfa.accepting)
+    letters = range(len(nfa.alphabet))
     lengths: set[int] = set()
     for length in range(horizon + 1):
-        if current & nfa.accepting:
+        if current & accept:
             lengths.add(length)
         if not current or length == horizon:
             break
-        current = {
-            q
-            for p in current
-            for a in nfa.alphabet
-            for q in nfa.transitions.get((p, a), frozenset())
-        }
+        current = reduce(or_, (nfa.image(current, i) for i in letters), 0)
     g = 0
     for length in lengths:
         if length:

@@ -79,21 +79,23 @@ def random_cnf(
     rng: random.Random, max_vars: int, max_clauses: int, min_vars: int = 3
 ) -> CnfInstance:
     """Random 3SAT instance with distinct-variable clauses, every variable
-    used, and deduplicated clauses."""
+    used, and deduplicated clauses: 1..n shuffled and cut into ⌈n/3⌉
+    triples (the last padded from the other variables; each has a variable
+    of its own, so they are distinct), then random clauses up to m."""
     n = rng.randint(min_vars, max_vars)
     distinct = 8 * n * (n - 1) * (n - 2) // 6
-    while True:
-        m = rng.randint(max(1, (n + 2) // 3), min(max_clauses, distinct))
-        clauses: set[tuple[int, int, int]] = set()
-        while len(clauses) < m:
-            variables = rng.sample(range(1, n + 1), 3)
-            clause = tuple(
-                sorted(v if rng.random() < 0.5 else -v for v in variables)
-            )
-            clauses.add(clause)
-        used = {abs(lit) for clause in clauses for lit in clause}
-        if len(used) == n:
-            return CnfInstance(n, tuple(sorted(clauses)))
+    m = rng.randint(max(1, (n + 2) // 3), min(max_clauses, distinct))
+
+    def signed(variables: list[int]) -> tuple[int, ...]:
+        return tuple(sorted(v if rng.random() < 0.5 else -v for v in variables))
+
+    order = rng.sample(range(1, n + 1), n)
+    triples = [order[i : i + 3] for i in range(0, n, 3)]
+    triples[-1] += rng.sample(order[: n - len(triples[-1])], 3 - len(triples[-1]))
+    clauses = {signed(triple) for triple in triples}
+    while len(clauses) < m:
+        clauses.add(signed(rng.sample(range(1, n + 1), 3)))
+    return CnfInstance(n, tuple(sorted(clauses)))
 
 
 def random_two_length_set(

@@ -35,11 +35,12 @@ def exhaustive_three_var_instances():
 def naive_bool_matrices(nfa):
     """Letter adjacency matrices as plain nested bool lists."""
     out = {}
-    for a in nfa.alphabet:
+    for i, a in enumerate(nfa.alphabet):
         grid = [[False] * nfa.state_count for _ in range(nfa.state_count)]
         for p in range(nfa.state_count):
-            for q in nfa.transitions.get((p, a), frozenset()):
-                grid[p][q] = True
+            for q in range(nfa.state_count):
+                if nfa.row(p)[i] >> q & 1:
+                    grid[p][q] = True
         out[a] = grid
     return out
 

@@ -54,6 +54,45 @@ def test_glushkov_star_single_symbol():
         assert nfa_accepts(nfa, word) == expected
 
 
+def test_glushkov_tables():
+    # positions 1 = a, 2 = b, 3 = b; follow(0) = first = {1, 3},
+    # follow(1) = {2}, follow(3) = {3}; p's entry for a letter is
+    # follow(p) & the positions of that letter (a: {1}, b: {2, 3})
+    nfa = glushkov(parse_regex("ab+b*"))
+    assert nfa.alphabet == Alphabet("ab")
+    assert nfa.transitions == [0b10, 0b1000, 0, 0b100, 0, 0, 0, 0b1000]
+    assert nfa.row(3) == [0, 0b1000]
+    assert nfa.accepting == {0, 2, 3}
+    # the star adds follow(2) = follow(3) = first
+    star = glushkov_star(parse_regex("ab+b*"))
+    assert star.transitions == [0b10, 0b1000, 0, 0b100, 0b10, 0b1000, 0b10, 0b1000]
+    assert star.accepting == {0, 2, 3}
+    # a declared letter the expression lacks gets a zero column
+    star = glushkov_star(parse_regex("ab"), Alphabet("abc"))
+    assert star.transitions == [0b10, 0, 0, 0, 0b100, 0, 0b10, 0, 0]
+    assert star.accepting == {0, 2}
+
+
+def test_star_closure_tables():
+    # a*b: 0 -a-> 0, 0 -b-> 1; the fresh state 2 copies row 0, and the
+    # accepting state 1 gains row 0 as well
+    nfa = parse_nfa(NFA_TEXT)
+    assert nfa.transitions == [0b1, 0b10, 0, 0]
+    closed = star_closure(nfa)
+    assert closed.transitions == [0b1, 0b10, 0b1, 0b10, 0b1, 0b10]
+    assert (closed.initial, closed.accepting) == ({2}, {1, 2})
+    # two initial states: the fresh row is the union of their rows, and it
+    # is ORed into each accepting row (an initial one included)
+    nfa = parse_nfa(
+        "states 3\nalphabet ab\ninitial 0 1\naccepting 0 2\n"
+        "0 a 1\n1 b 2\n2 a 0\n"
+    )
+    assert nfa.transitions == [0b10, 0, 0, 0b100, 0b1, 0]
+    closed = star_closure(nfa)
+    assert closed.transitions == [0b10, 0b100, 0, 0b100, 0b11, 0b100, 0b10, 0b100]
+    assert (closed.initial, closed.accepting) == ({3}, {0, 2, 3})
+
+
 def test_glushkov_star_two_or_three():
     ast = parse_regex("aa+aaa")
     nfa = glushkov_star(ast)
@@ -114,9 +153,10 @@ def reference_subset_construct(nfa, alphabet):
     union of that letter's rows over the subset's members, one bit at a
     time; states are numbered in breadth-first order."""
     rows = {a: [0] * nfa.state_count for a in alphabet}
-    for (p, a), targets in nfa.transitions.items():
-        for q in targets:
-            rows[a][p] |= 1 << q
+    for p in range(nfa.state_count):
+        for a, targets in zip(nfa.alphabet, nfa.row(p)):
+            if targets:
+                rows[a][p] = targets
     start = sum(1 << q for q in nfa.initial)
     id_of = {start: 0}
     masks = [start]
@@ -162,12 +202,11 @@ def random_nfa(rng):
     n = rng.randint(1, 12) if rng.random() < 0.8 else rng.randint(13, 40)
     alphabet = Alphabet(rng.sample("abc", rng.randint(0, 3)))
     density = rng.choice([0.1, 0.3]) if n <= 12 else 0.05
-    transitions = {}
-    for p in range(n):
-        for a in alphabet:
-            targets = frozenset(q for q in range(n) if rng.random() < density)
-            if targets:
-                transitions[(p, a)] = targets
+    transitions = [
+        sum(1 << q for q in range(n) if rng.random() < density)
+        for p in range(n)
+        for a in alphabet
+    ]
     initial = frozenset(q for q in range(n) if rng.random() < 0.3)
     accepting = frozenset(q for q in range(n) if rng.random() < 0.4)
     return Nfa(n, alphabet, initial, accepting, transitions)
@@ -183,12 +222,13 @@ def test_subset_construct_matches_reference_on_random_nfas():
 
 
 def nfa_with_edges(state_count, alphabet, edges):
-    transitions = {}
+    alphabet = Alphabet(alphabet)
+    transitions = [0] * (state_count * len(alphabet))
     for p, a, q in edges:
-        transitions[(p, a)] = transitions.get((p, a), frozenset()) | {q}
+        transitions[p * len(alphabet) + alphabet.symbols.index(a)] |= 1 << q
     return Nfa(
         state_count,
-        Alphabet(alphabet),
+        alphabet,
         frozenset({0}),
         frozenset({state_count - 1}),
         transitions,
@@ -325,6 +365,14 @@ def test_window_accepts_validates_bounds():
         window_accepts(dfa, 3, 2)
     with pytest.raises(ValueError):
         window_accepts(dfa, -1, 2)
+
+
+def test_window_accepts_fails_fast_on_huge_window():
+    # a 2-state cycle: the (lo + 1) × 2 layer matrix for lo = 2**47 needs
+    # 256 TiB, which is refused before any of the 2**47 forward steps
+    dfa = Dfa(2, Alphabet("a"), 0, frozenset({1}), [1, 0])
+    with pytest.raises(MemoryError):
+        window_accepts(dfa, 2**47, 2**48)
 
 
 def test_longest_accepted_examples():
@@ -472,11 +520,14 @@ def test_parse_nfa_errors(text):
 @pytest.mark.parametrize(
     "initial, accepting, transitions, message",
     [
-        ({0}, {2}, {}, "initial/accepting state out of range"),
-        ({2}, {1}, {}, "initial/accepting state out of range"),
-        ({0}, {1}, {(0, "a"): frozenset({2})}, "transition state out of range"),
-        ({0}, {1}, {(2, "a"): frozenset({1})}, "transition state out of range"),
-        ({0}, {1}, {(0, "c"): frozenset({1})}, "transition symbol 'c' not in alphabet"),
+        ({0}, {2}, [0, 0, 0, 0], "initial/accepting state out of range"),
+        ({2}, {1}, [0, 0, 0, 0], "initial/accepting state out of range"),
+        # a mask with a bit >= |Q|, and a negative mask (infinitely many bits)
+        ({0}, {1}, [2, 0, 4, 0], "transition state out of range"),
+        ({0}, {1}, [2, 0, -1, 0], "transition state out of range"),
+        # the table must hold exactly |Q| * |alphabet| masks
+        ({0}, {1}, [2, 0, 0], "transition table length"),
+        ({0}, {1}, [2, 0, 0, 0, 0, 0], "transition table length"),
     ],
 )
 def test_nfa_rejects_bad_states_and_symbols(

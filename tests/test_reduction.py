@@ -182,3 +182,16 @@ def test_check_lemma_validation():
 
 def test_exhaustive_three_var_count():
     assert sum(1 for _ in exhaustive_three_var_instances()) == 255
+
+
+def test_random_cnf_covers_every_variable_at_minimal_m():
+    # m = ⌈n/3⌉ leaves no slack: the coverage triples are all the clauses
+    for n in range(12, 19):
+        m = (n + 2) // 3
+        cnf = random_cnf(random.Random(n), n, m, min_vars=n)
+        assert cnf.variable_count == n
+        assert len(cnf.clauses) == len(set(cnf.clauses)) == m
+        assert {abs(lit) for clause in cnf.clauses for lit in clause} == set(
+            range(1, n + 1)
+        )
+        assert all(len({abs(lit) for lit in clause}) == 3 for clause in cnf.clauses)
