@@ -2,8 +2,8 @@
 
 Covers the position-automaton ("Glushkov") construction for an expression
 and for its star, subset determinization into a complete DFA, complement,
-trimming, finiteness via cycle detection, per-length layered reachability
-for window queries, longest accepted word over the trimmed DAG, and a
+trimming, finiteness via cycle detection, periodic backward layers for
+window queries, longest accepted word over the trimmed DAG, and a
 boolean reachability-matrix verifier for candidate rejected words.
 
 All automata are immutable after construction; states are dense integer
@@ -14,8 +14,9 @@ entry p·|Σ| + i belongs to state p and the i-th letter, and ``row(p)`` is
 p's slice.  An NFA entry is the bitmask of the states reached, so letter
 i's rows are the slice ``transitions[i::|Σ|]``; a DFA entry is the id of
 the one state reached.  Every step after subset construction reads the
-DFA's list.  The longest witness is read off best[] greedily; numpy
-serves only ``window_accepts``.
+DFA's list.  The longest witness is read off best[] greedily and the
+window witness off backward layers that stop at the first repeat; numpy
+serves only those layers.
 """
 
 from __future__ import annotations
@@ -484,56 +485,66 @@ def is_infinite(dfa: Dfa) -> bool:
 def window_accepts(dfa: Dfa, lo: int, hi: int) -> tuple[int, str] | None:
     """Smallest accepted length in [lo, hi) with its smallest witness word.
 
-    Uses per-length layered reachability (the set of states reachable by
-    words of exactly each length), then walks forward through co-reachability
-    layers built backward from acceptance, taking the smallest viable letter.
-    The (lo + 1) × |Q| layer matrix is allocated before the forward pass, so
-    a window too large for memory raises MemoryError at once; a longer word
-    adds one row per extra length.
+    Backward layers: B_0 is the accepting set and B_{j+1} the states with a
+    letter into B_j, so B_j holds the states with an accepted word of
+    exactly j letters.  B_{j+1} depends only on B_j, so once a layer equals
+    an earlier B_μ the layers repeat with period j − μ, and the smallest
+    length is read off at most one more period.  At most ℓ + 1 layers are
+    built and kept, where ℓ is the length found (or the repeat point).  The
+    word is greedy: with r letters left, take the smallest letter whose
+    successor lies in B_{r−1}.  The witness buffer of ``lo`` letters is
+    allocated first, so a window too large for memory raises MemoryError
+    at once.
     """
     if not 0 <= lo <= hi:
         raise ValueError("window must satisfy 0 <= lo <= hi")
     if lo == hi:
         return None
-    n = dfa.state_count
-    layers = list(np.zeros((lo + 1, n), dtype=bool))  # a view per length
-    # successors[i][p] is the state reached from p on the i-th letter; a
-    # list, since iterating a 2-D array makes a new view per row each time
-    table = np.array(dfa.transitions, dtype=np.intp)
-    successors = list(table.reshape(n, len(dfa.alphabet)).T.copy())
-    accepting = np.zeros(n, dtype=bool)
-    accepting[list(dfa.accepting)] = True
+    word = [""] * lo
+    n, start = dfa.state_count, dfa.start
+    # successors[i, p] is the state reached from p on the i-th letter
+    successors = np.array(dfa.transitions, dtype=np.intp)
+    successors = successors.reshape(n, len(dfa.alphabet)).T
     current = np.zeros(n, dtype=bool)
-    current[dfa.start] = True
-    for length in range(hi):
-        if length >= lo and bool((current & accepting).any()):
+    current[list(dfa.accepting)] = True
+    first_seen: dict[bytes, int] = {}  # B_j, one byte per state -> j
+    length = None
+    for j in range(hi):
+        layer = current.tobytes()
+        if j >= lo and layer[start]:
+            length = j
             break
-        if not current.any():
-            return None
-        nxt = np.zeros(n, dtype=bool)
-        for succ in successors:
-            nxt[succ[current]] = True
-        current = nxt
+        if layer in first_seen:
+            break
+        first_seen[layer] = j
+        current = current[successors].any(axis=0)
     else:
         return None
 
-    layers += [np.zeros(n, dtype=bool) for _ in range(length - lo)]
-    layers[length] = accepting
-    for j in range(length - 1, -1, -1):
-        target, row = layers[j + 1], layers[j]
-        for succ in successors:
-            row |= target[succ]
-    state = dfa.start
-    assert layers[0][state], "no accepted word of the requested length"
-    out = []
-    for j in range(length):
-        for a, succ in zip(dfa.alphabet.symbols, successors):
-            q = succ[state]
-            if layers[j + 1][q]:
-                out.append(a)
-                state = int(q)
+    layers = list(first_seen)  # B_0 .. B_{j-1}, in insertion order
+    # When B_j = B_μ, B_m = B_{μ + (m − μ) mod (j − μ)} for every m ≥ μ.
+    mu = first_seen.get(layer, 0)
+    period = j - mu
+    if length is None:
+        first = max(lo, j)  # every length below j was checked above
+        candidates = range(first, min(hi, first + period))
+        length = next(
+            (m for m in candidates if layers[mu + (m - mu) % period][start]), None
+        )
+        if length is None:
+            return None
+    word += [""] * (length - lo)
+    symbols, k, table = dfa.alphabet.symbols, len(dfa.alphabet), dfa.transitions
+    p = start
+    for i in range(length):
+        m = length - 1 - i  # letters left after this one
+        reached = layers[m if m < j else mu + (m - mu) % period]
+        for a, q in zip(symbols, table[p * k : p * k + k]):
+            if reached[q]:
+                word[i] = a
+                p = q
                 break
-    return length, "".join(out)
+    return length, "".join(word)
 
 
 def longest_accepted(dfa: Dfa) -> tuple[int, str] | None:

@@ -94,10 +94,9 @@ def _decide_body(result: CofiniteResult) -> dict:
 
 def cmd_decide(args) -> tuple[dict, dict, int]:
     source, echo = _load_input(args)
-    inferred = source.alphabet if isinstance(source, Nfa) else alphabet_of(source)
-    effective = resolve_alphabet(inferred, _parse_alphabet(args.alphabet))
-    echo["alphabet"] = "".join(effective)
-    return echo, _decide_body(decide_cofinite(source, effective)), 0
+    result = decide_cofinite(source, _parse_alphabet(args.alphabet))
+    echo["alphabet"] = "".join(result.alphabet)
+    return echo, _decide_body(result), 0
 
 
 def cmd_frobenius(args) -> tuple[dict, dict, int]:

@@ -11,7 +11,7 @@ conclusion that nothing is missing at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
 from typing import Iterable, Sequence
@@ -51,6 +51,8 @@ class CofiniteResult:
     ``witness`` is the lexicographically smallest missing word of length L.
     For a non-co-finite closure, ``window_witness`` is a missing word whose
     length is at least the trimmed complement size, hence pumpable.
+    ``alphabet`` is the effective alphabet the closure was judged over; it
+    echoes the input, so results compare equal without it.
     """
 
     cofinite: bool
@@ -61,6 +63,7 @@ class CofiniteResult:
     dfa_states: int = 0
     trimmed_complement_states: int = 0
     symbol_count: int | None = None
+    alphabet: Alphabet | None = field(default=None, compare=False)
 
 
 def decide_cofinite(
@@ -98,6 +101,7 @@ def decide_cofinite(
         dfa_states=dfa.state_count,
         trimmed_complement_states=n_prime,
         symbol_count=t,
+        alphabet=effective,
     )
 
     if order is None:

@@ -1,6 +1,8 @@
 import random
+import time
 from functools import reduce
 
+import numpy as np
 import pytest
 
 from conftest import naive_bool_matrices, naive_bool_product, words_up_to
@@ -373,6 +375,125 @@ def test_window_accepts_fails_fast_on_huge_window():
     dfa = Dfa(2, Alphabet("a"), 0, frozenset({1}), [1, 0])
     with pytest.raises(MemoryError):
         window_accepts(dfa, 2**47, 2**48)
+
+
+def reference_window_accepts(dfa, lo, hi):
+    """Forward layers to find the length, then an (ℓ + 1) × |Q| matrix of
+    backward layers to walk the smallest word."""
+    if not 0 <= lo <= hi:
+        raise ValueError("window must satisfy 0 <= lo <= hi")
+    if lo == hi:
+        return None
+    n = dfa.state_count
+    table = np.array(dfa.transitions, dtype=np.intp)
+    successors = list(table.reshape(n, len(dfa.alphabet)).T.copy())
+    accepting = np.zeros(n, dtype=bool)
+    accepting[list(dfa.accepting)] = True
+    current = np.zeros(n, dtype=bool)
+    current[dfa.start] = True
+    for length in range(hi):
+        if length >= lo and bool((current & accepting).any()):
+            break
+        if not current.any():
+            return None
+        nxt = np.zeros(n, dtype=bool)
+        for succ in successors:
+            nxt[succ[current]] = True
+        current = nxt
+    else:
+        return None
+    layers = np.zeros((length + 1, n), dtype=bool)
+    layers[length] = accepting
+    for j in range(length - 1, -1, -1):
+        for succ in successors:
+            layers[j] |= layers[j + 1][succ]
+    state, out = dfa.start, []
+    for j in range(length):
+        for a, succ in zip(dfa.alphabet.symbols, successors):
+            q = succ[state]
+            if layers[j + 1][q]:
+                out.append(a)
+                state = int(q)
+                break
+    return length, "".join(out)
+
+
+def random_dfa(rng):
+    n = rng.randint(1, 30)
+    alphabet = Alphabet(rng.sample("abc", rng.randint(0, 3)))
+    density = rng.choice([0.05, 0.2, 0.5])
+    return Dfa(
+        n,
+        alphabet,
+        rng.randrange(n),
+        frozenset(q for q in range(n) if rng.random() < density),
+        [rng.randrange(n) for _ in range(n * len(alphabet))],
+    )
+
+
+def test_window_accepts_matches_reference_on_random_dfas():
+    rng = random.Random(83)
+    for _ in range(1500):
+        dfa = random_dfa(rng)
+        lo = rng.randint(0, 80)
+        hi = lo + rng.randint(0, 80)
+        assert window_accepts(dfa, lo, hi) == reference_window_accepts(dfa, lo, hi)
+
+
+def cycles_dfa(lengths, alphabet):
+    """From the start, the i-th letter enters a cycle of lengths[i] states,
+    which every letter advances; the last state of each cycle accepts."""
+    k = len(alphabet)
+    offsets = [1 + sum(lengths[:i]) for i in range(k)]
+    transitions = list(offsets)
+    accepting = set()
+    for offset, size in zip(offsets, lengths):
+        for i in range(size):
+            transitions += [offset + (i + 1) % size] * k
+        accepting.add(offset + size - 1)
+    return Dfa(len(transitions) // k, Alphabet(alphabet), 0, frozenset(accepting), transitions)
+
+
+def test_window_accepts_matches_reference_when_period_exceeds_window():
+    # the layers repeat with period 97 · 101 · 127, far beyond hi
+    dfa = cycles_dfa([97, 101, 127], "abc")
+    for lo, hi in [(0, 50), (98, 99), (100, 300), (300, 400), (329, 650), (500, 520)]:
+        assert window_accepts(dfa, lo, hi) == reference_window_accepts(dfa, lo, hi)
+    assert window_accepts(dfa, 100, 300) == (101, "b" + "a" * 100)
+
+
+def test_window_accepts_start_never_reaches_acceptance():
+    # 0 loops on itself; only 1 and 2, which 0 never reaches, accept
+    dfa = Dfa(3, Alphabet("ab"), 0, frozenset({1, 2}), [0, 0, 2, 1, 1, 2])
+    for lo, hi in [(0, 1), (0, 40), (5, 9), (30, 31)]:
+        assert window_accepts(dfa, lo, hi) is None
+        assert reference_window_accepts(dfa, lo, hi) is None
+
+
+def test_window_accepts_empty_alphabet():
+    accepting = Dfa(1, Alphabet(), 0, frozenset({0}), [])
+    rejecting = Dfa(2, Alphabet(), 0, frozenset({1}), [])
+    for dfa in (accepting, rejecting):
+        for lo, hi in [(0, 1), (0, 5), (1, 5), (3, 3)]:
+            assert window_accepts(dfa, lo, hi) == reference_window_accepts(dfa, lo, hi)
+    assert window_accepts(accepting, 0, 5) == (0, "")
+    assert window_accepts(accepting, 1, 5) is None
+
+
+def test_window_accepts_long_window():
+    # a 7-state cycle: a advances one state, b two; 6 accepts
+    dfa = Dfa(
+        7,
+        Alphabet("ab"),
+        0,
+        frozenset({6}),
+        [q for p in range(7) for q in ((p + 1) % 7, (p + 2) % 7)],
+    )
+    started = time.perf_counter()
+    length, word = window_accepts(dfa, 10**6, 2 * 10**6)
+    assert time.perf_counter() - started < 2
+    assert length == len(word) == 10**6
+    assert dfa_accepts(dfa, word)
 
 
 def test_longest_accepted_examples():

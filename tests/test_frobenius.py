@@ -247,3 +247,17 @@ def test_unary_consistency():
             assert result.frobenius_length == g
         checked += 1
     assert checked >= 10
+
+    # wider seeded coin sets: a^p+a^q(+a^r) with coins from 10 to 200
+    rng = random.Random(78)
+    for _ in range(8):
+        while True:
+            coins = sorted(rng.sample(range(10, 201), rng.randint(2, 3)))
+            if reduce(math.gcd, coins) == 1:
+                break
+        ast = parse_regex("+".join("a" * c for c in coins))
+        result = decide_cofinite(ast, Alphabet("a"))
+        g = numeric_frobenius(coins).g
+        assert result.cofinite
+        assert result.frobenius_length == g
+        assert result.witness == "a" * g

@@ -195,3 +195,28 @@ def test_random_cnf_covers_every_variable_at_minimal_m():
             range(1, n + 1)
         )
         assert all(len({abs(lit) for lit in clause}) == 3 for clause in cnf.clauses)
+
+
+def test_satisfiable_n10_reduction_has_window_witness_outside_closure():
+    # beyond the benchmark's sizes: about 53,000 DFA states
+    cnf = random_cnf(random.Random(10), 10, 40, min_vars=10)
+    assert cnf.variable_count == 10
+    assert sat_bruteforce(cnf) is not None
+    ast = cnf_to_regex(cnf)
+    result = decide_cofinite(ast)
+    assert not result.cofinite
+    length, word = result.window_witness
+    n_prime = result.trimmed_complement_states
+    assert n_prime <= length < 2 * n_prime
+    assert len(word) == length
+    # E holds only words of length n (the clause patterns) and n + 1 (the
+    # all-words block), so E* membership is a dynamic program over blocks
+    # of those two lengths, each matched by the oracle's matcher
+    n, matcher = cnf.variable_count, Matcher(ast)
+    reach = [True] + [False] * length
+    for i in range(length):
+        if reach[i]:
+            for size in (n, n + 1):
+                if i + size <= length and matcher.matches(word[i : i + size]):
+                    reach[i + size] = True
+    assert not reach[length]
