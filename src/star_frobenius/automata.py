@@ -15,17 +15,14 @@ p's slice.  An NFA entry is the bitmask of the states reached, so letter
 i's rows are the slice ``transitions[i::|Σ|]``; a DFA entry is the id of
 the one state reached.  Every step after subset construction reads the
 DFA's list.  The longest witness is read off best[] greedily and the
-window witness off backward layers that stop at the first repeat; numpy
-serves only those layers.
+window witness off backward layers that stop at the first repeat.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import or_
-
-import numpy as np
+from operator import itemgetter, or_
 
 from .errors import (
     AlphabetMismatch,
@@ -502,22 +499,29 @@ def window_accepts(dfa: Dfa, lo: int, hi: int) -> tuple[int, str] | None:
         return None
     word = [""] * lo
     n, start = dfa.state_count, dfa.start
-    # successors[i, p] is the state reached from p on the i-th letter
-    successors = np.array(dfa.transitions, dtype=np.intp)
-    successors = successors.reshape(n, len(dfa.alphabet)).T
-    current = np.zeros(n, dtype=bool)
-    current[list(dfa.accepting)] = True
-    first_seen: dict[bytes, int] = {}  # B_j, one byte per state -> j
+    symbols, k, table = dfa.alphabet.symbols, len(dfa.alphabet), dfa.transitions
+    # letter i's gather maps B_j to the tuple (B_j[δ(p, i)] for each p); a
+    # one-index itemgetter returns a bare item, but a 1-state DFA's only
+    # successor is state 0, so there the gather is B_j itself
+    gathers = [itemgetter(*table[i::k]) if n > 1 else bytes for i in range(k)]
+    accepting = bytearray(n)
+    for q in dfa.accepting:
+        accepting[q] = 1
+    layer = bytes(accepting)  # B_j, one 0/1 byte per state
+    first_seen: dict[bytes, int] = {}  # B_j -> j
     length = None
     for j in range(hi):
-        layer = current.tobytes()
         if j >= lo and layer[start]:
             length = j
             break
         if layer in first_seen:
             break
         first_seen[layer] = j
-        current = current[successors].any(axis=0)
+        # bytewise OR of 0/1 bytes: one big-int OR per letter, no carries
+        bits = 0
+        for gather in gathers:
+            bits |= int.from_bytes(bytearray(gather(layer)), "big")
+        layer = bits.to_bytes(n, "big")
     else:
         return None
 
@@ -534,7 +538,6 @@ def window_accepts(dfa: Dfa, lo: int, hi: int) -> tuple[int, str] | None:
         if length is None:
             return None
     word += [""] * (length - lo)
-    symbols, k, table = dfa.alphabet.symbols, len(dfa.alphabet), dfa.transitions
     p = start
     for i in range(length):
         m = length - 1 - i  # letters left after this one

@@ -101,12 +101,8 @@ def cmd_decide(args) -> tuple[dict, dict, int]:
 
 def cmd_frobenius(args) -> tuple[dict, dict, int]:
     words = list(args.words)
-    if args.alphabet is not None:
-        alphabet = Alphabet(args.alphabet)
-    else:
-        alphabet = Alphabet(sorted({ch for word in words for ch in word}))
-    result = frobenius_of_finite_set(words, alphabet)
-    echo = {"words": sorted(set(words)), "alphabet": "".join(alphabet)}
+    result = frobenius_of_finite_set(words, _parse_alphabet(args.alphabet))
+    echo = {"words": sorted(set(words)), "alphabet": "".join(result.alphabet)}
     return echo, _decide_body(result), 0
 
 

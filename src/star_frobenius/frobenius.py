@@ -130,9 +130,10 @@ def words_to_regex(words: Iterable[str]) -> RegexAst:
 
 
 def frobenius_of_finite_set(
-    words: Iterable[str], alphabet: Alphabet
+    words: Iterable[str], alphabet: Alphabet | None = None
 ) -> CofiniteResult:
-    """decide_cofinite applied to an explicit finite set of words."""
+    """decide_cofinite applied to an explicit finite set of words; the
+    alphabet defaults to the letters the words use, as in decide_cofinite."""
     return decide_cofinite(words_to_regex(words), alphabet)
 
 

@@ -2,12 +2,16 @@ import contextlib
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
+import star_frobenius
 from star_frobenius import cli
 from star_frobenius.cli import main
 
@@ -276,11 +280,14 @@ GOLDEN_CASES = [
 GOLDEN_PATH = Path(__file__).with_name("cli_golden.json")
 
 
-def golden_stdout(capsys, tmp_path, argv, files):
+def golden_argv(tmp_path, argv, files):
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
-    argv = [arg.format_map({n: str(tmp_path / n) for n in files}) for arg in argv]
-    code, out, err = run(capsys, argv)
+    return [arg.format_map({n: str(tmp_path / n) for n in files}) for arg in argv]
+
+
+def golden_stdout(capsys, tmp_path, argv, files):
+    code, out, err = run(capsys, golden_argv(tmp_path, argv, files))
     assert (code, err) == (0, "")
     return out
 
@@ -291,6 +298,45 @@ def golden_stdout(capsys, tmp_path, argv, files):
 def test_golden_stdout(capsys, tmp_path, name, argv, files):
     expected = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
     assert golden_stdout(capsys, tmp_path, argv, files) == expected[name]
+
+
+# A None entry in sys.modules makes every import of numpy raise ImportError.
+WITHOUT_NUMPY = """\
+import sys
+sys.modules["numpy"] = None
+from star_frobenius.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "name", ["decide-not-cofinite", "decide-nfa-widened", "reduce-decide-not-cofinite"]
+)
+def test_window_witness_runs_without_numpy(tmp_path, name):
+    _, argv, files = next(case for case in GOLDEN_CASES if case[0] == name)
+    env = dict(os.environ, PYTHONPATH=str(Path(star_frobenius.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_NUMPY, *golden_argv(tmp_path, argv, files)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    expected = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", expected[name])
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, message",
+    [
+        (["frobenius", "a b"], 2, "symbol ' '"),
+        (["frobenius", "--alphabet", "a", "ab"], 3, "declared alphabet is missing 'b'"),
+    ],
+)
+def test_frobenius_error_exits(capsys, argv, exit_code, message):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (exit_code, "")
+    assert message in err
 
 
 def test_oracle_alphabet_mismatch_exit_3(capsys):
