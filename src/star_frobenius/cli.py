@@ -12,7 +12,9 @@ Every command prints one envelope::
 JSON output is deterministic (sorted keys); ``--timing`` adds a
 ``timing_ms`` field and is off by default so that identical invocations
 stay byte-identical.  Exit codes: 0 success, 2 input error, 3 semantic
-error (alphabet mismatch, gcd), 4 enumeration budget exceeded or out of
+error (alphabet mismatch, gcd), 4 budget exceeded (the oracle's word
+enumeration or matcher stack, or the numeric solver's residue table of
+min(xs) entries; STAR_FROBENIUS_BUDGET sets the size limit) or out of
 memory, 1 internal failure or selftest property violation.
 """
 
@@ -25,14 +27,14 @@ import sys
 import time
 
 from .automata import Nfa, parse_nfa
-from .errors import BudgetExceeded, InputError, SemanticError
+from .errors import DEFAULT_BUDGET, BudgetExceeded, InputError, SemanticError
 from .frobenius import (
     CofiniteResult,
     decide_cofinite,
     frobenius_of_finite_set,
     numeric_frobenius,
 )
-from .oracle import DEFAULT_BUDGET, bruteforce_cofinite
+from .oracle import bruteforce_cofinite
 from .reduction import cnf_to_regex, parse_dimacs, sat_bruteforce
 from .regex import (
     Alphabet,
@@ -145,8 +147,12 @@ def cmd_sat(args) -> tuple[dict, dict, int]:
     return echo, body, 0
 
 
+def _budget() -> int:
+    return int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET))
+
+
 def cmd_numeric(args) -> tuple[dict, dict, int]:
-    result = numeric_frobenius(args.integers)
+    result = numeric_frobenius(args.integers, budget=_budget())
     return (
         {"inputs": list(result.inputs)},
         {"inputs": list(result.inputs), "g": result.g},
@@ -159,9 +165,8 @@ def cmd_oracle(args) -> tuple[dict, dict, int]:
     if isinstance(source, Nfa):
         raise ValueError("the oracle command takes a regex, not an NFA")
     alphabet = resolve_alphabet(alphabet_of(source), _parse_alphabet(args.alphabet))
-    budget = int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET))
     report = bruteforce_cofinite(
-        source, alphabet, args.horizon, args.bound, budget=budget
+        source, alphabet, args.horizon, args.bound, budget=_budget()
     )
     echo.update(
         {

@@ -75,5 +75,12 @@ class GcdNotOne(SemanticError):
     """Frobenius number requested for integers with gcd greater than 1."""
 
 
+# Default size limit shared by the oracle (words enumerated) and the
+# numeric solver (residue-table entries); BudgetExceeded reports a breach.
+DEFAULT_BUDGET = 2**22
+
+
 class BudgetExceeded(Error):
-    """Exhaustive enumeration would exceed the configured word budget."""
+    """A size limit was hit: the oracle's enumeration would exceed its word
+    budget (or the interpreter's stack), or the numeric solver's residue
+    table would have more entries than its budget allows."""

@@ -29,7 +29,7 @@ from .automata import (
     trim_useful,
     window_accepts,
 )
-from .errors import GcdNotOne
+from .errors import DEFAULT_BUDGET, BudgetExceeded, GcdNotOne
 from .regex import (
     Alphabet,
     Concat,
@@ -146,36 +146,51 @@ class NumericFrobenius:
     g: int
 
 
-def numeric_frobenius(xs: Sequence[int]) -> NumericFrobenius:
-    """Coin-problem dynamic program.
+def numeric_frobenius(
+    xs: Sequence[int], *, budget: int = DEFAULT_BUDGET
+) -> NumericFrobenius:
+    """Coin-problem solver: the round-robin residue table of Böcker and
+    Lipták (Algorithmica 2007).
 
-    Scans upward marking representable values; once min(xs) consecutive
-    values are representable every larger value is too, so the last gap
-    seen is the Frobenius number.  gcd(xs) = 1 guarantees the scan stops.
+    With a = min(xs), n[r] is the smallest representable value congruent
+    to r modulo a, so the largest gap is max(n) - a.  The table starts as
+    n[0] = 0 and every other entry at infinity.  Each further coin b splits
+    the residues into gcd(a, b) cycles r -> (r + b) mod a; one walk around a
+    cycle from its smallest entry relaxes n[(r + b) mod a] with n[r] + b and
+    settles every entry.  That is O(k·min xs) time for k coins and
+    O(min xs) memory.  The table has min(xs) entries, so BudgetExceeded is
+    raised before building it when min(xs) exceeds ``budget``.
     """
     values = tuple(xs)
     if not values:
         raise ValueError("need at least one positive integer")
-    if any(not isinstance(x, int) or x < 1 for x in values):
+    if any(isinstance(x, bool) or not isinstance(x, int) or x < 1 for x in values):
         raise ValueError("inputs must be positive integers")
     if reduce(math.gcd, values) != 1:
         raise GcdNotOne(f"gcd of {list(values)} exceeds 1")
 
-    smallest = min(values)
-    reachable = [True]
-    last_gap = -1
-    run = 0
-    v = 1
-    while run < smallest:
-        hit = any(v >= x and reachable[v - x] for x in values)
-        reachable.append(hit)
-        if hit:
-            run += 1
-        else:
-            run = 0
-            last_gap = v
-        v += 1
-    return NumericFrobenius(values, last_gap)
+    a = min(values)
+    if a > budget:
+        raise BudgetExceeded(
+            f"a residue table of {a} entries exceeds the budget of {budget}"
+        )
+    n = [math.inf] * a
+    n[0] = 0
+    for b in set(values):
+        d = math.gcd(a, b)
+        if d == a:  # a multiple of a, a itself included, adds nothing
+            continue
+        for r in range(d):
+            p = min(range(r, a, d), key=n.__getitem__)
+            m = n[p]
+            for _ in range(a // d - 1):
+                p = (p + b) % a
+                m += b
+                if n[p] < m:
+                    m = n[p]
+                else:
+                    n[p] = m
+    return NumericFrobenius(values, max(n) - a)
 
 
 def length_spectrum(

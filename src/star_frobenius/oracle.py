@@ -11,7 +11,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded
+from .errors import DEFAULT_BUDGET, BudgetExceeded
 from .regex import (
     Alphabet,
     Concat,
@@ -23,8 +23,6 @@ from .regex import (
     Union,
     fold,
 )
-
-DEFAULT_BUDGET = 2**22
 
 # Interpreter stack levels the recursive matcher spends per tree level: a
 # Union calls _match directly, a Concat or Star goes through any() over a

@@ -8,6 +8,7 @@ derived RNG, so a (seed, cases) pair always reproduces the same run.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -217,10 +218,13 @@ def _suite_reduction_equivalence(rng: random.Random, cases: int) -> SuiteResult:
 def _suite_numeric(rng: random.Random, cases: int) -> SuiteResult:
     result = SuiteResult("numeric-frobenius", cases)
     for i in range(cases):
-        n = rng.randint(2, 12)
-        got = numeric_frobenius([n, n + 1]).g
-        if got != n * n - n - 1:
-            result.failures.append(f"case {i}: g({n},{n + 1}) = {got}")
+        while True:
+            p, q = rng.randint(2, 10**4), rng.randint(2, 10**4)
+            if math.gcd(p, q) == 1:
+                break
+        got = numeric_frobenius([p, q]).g
+        if got != p * q - p - q:
+            result.failures.append(f"case {i}: g({p},{q}) = {got}")
     return result
 
 

@@ -240,9 +240,9 @@ def test_criterion_7_numeric_frobenius():
     for inputs, value in expected.items():
         if numeric_frobenius(list(inputs)).g != value:
             failures.append(f"g{inputs} != {value}")
-    for n in range(2, 13):
-        if numeric_frobenius([n, n + 1]).g != n * n - n - 1:
-            failures.append(f"pair identity fails at n={n}")
+    for p, q in [(n, n + 1) for n in range(2, 13)] + [(9973, 10007)]:
+        if numeric_frobenius([p, q]).g != p * q - p - q:
+            failures.append(f"pair identity fails at ({p}, {q})")
     # independent confirmation: the reported g is a gap, everything after is not
     for inputs in list(expected) + [(n, n + 1) for n in range(2, 13)]:
         g = numeric_frobenius(list(inputs)).g

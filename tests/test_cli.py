@@ -184,6 +184,23 @@ def test_numeric_gcd_exit_3(capsys):
     assert "gcd" in err
 
 
+def test_numeric_large_coins_exit_4_before_the_table(capsys):
+    # the residue table would have min(xs) = 10^9 + 7 entries
+    code, out, err = run(capsys, ["numeric", "1000000007", "1000000009"])
+    assert (code, out) == (4, "")
+    assert "budget" in err
+
+
+def test_numeric_budget_env_override(capsys, monkeypatch):
+    monkeypatch.setenv("STAR_FROBENIUS_BUDGET", "100")
+    code, out, err = run(capsys, ["numeric", "101", "103"])
+    assert (code, out) == (4, "")
+    assert "budget" in err
+    code, env = run_json(capsys, ["numeric", "100", "103"])
+    assert code == 0
+    assert env["result"] == {"g": 100 * 103 - 100 - 103, "inputs": [100, 103]}
+
+
 def test_oracle_command(capsys):
     code, env = run_json(
         capsys, ["oracle", "aa+aaa", "--horizon", "10", "--bound", "3"]
@@ -261,6 +278,8 @@ GOLDEN_CASES = [
     ("frobenius-missing-word", ["frobenius", "aa", "aaa"], {}),
     ("frobenius-widened", ["frobenius", "--alphabet", "ab", "a", "ab", "b"], {}),
     ("frobenius-text", ["frobenius", "ab", "ba", "--format", "text"], {}),
+    ("numeric-three-coins", ["numeric", "6", "10", "15"], {}),
+    ("numeric-all-representable", ["numeric", "1", "7"], {}),
     (
         "reduce-decide-cofinite",
         ["reduce", "{golden}", "--decide"],

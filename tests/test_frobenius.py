@@ -9,6 +9,7 @@ from conftest import sign_patterns
 from star_frobenius import (
     Alphabet,
     AlphabetMismatch,
+    BudgetExceeded,
     CnfInstance,
     GcdNotOne,
     cnf_to_regex,
@@ -151,18 +152,72 @@ def test_finite_set_word_outside_alphabet():
         frobenius_of_finite_set(["ab"], Alphabet("a"))
 
 
+def reference_numeric_frobenius(xs):
+    """Scan upward marking representable values; once min(xs) consecutive
+    values are representable every larger value is too, so the last gap
+    seen is the Frobenius number.  O(g·k) time: small inputs only."""
+    smallest = min(xs)
+    reachable = [True]
+    last_gap = -1
+    run = 0
+    v = 1
+    while run < smallest:
+        hit = any(v >= x and reachable[v - x] for x in xs)
+        reachable.append(hit)
+        if hit:
+            run += 1
+        else:
+            run = 0
+            last_gap = v
+        v += 1
+    return last_gap
+
+
 def test_numeric_examples():
     assert numeric_frobenius([2, 3]).g == 1
     assert numeric_frobenius([1, 7]).g == -1
     assert numeric_frobenius([3, 5]).g == 7
     assert numeric_frobenius([6, 10, 15]).g == 29
+    assert numeric_frobenius([15, 6, 10, 6]).inputs == (15, 6, 10, 6)
     with pytest.raises(GcdNotOne):
         numeric_frobenius([4, 6])
 
 
 def test_numeric_pair_identity():
-    for n in range(2, 13):
-        assert numeric_frobenius([n, n + 1]).g == n * n - n - 1
+    rng = random.Random(13)
+    pairs = [(n, n + 1) for n in range(2, 13)]
+    pairs += [(rng.randint(2, 10**4), rng.randint(2, 10**4)) for _ in range(40)]
+    for p, q in pairs:
+        if math.gcd(p, q) == 1:
+            assert numeric_frobenius([p, q]).g == p * q - p - q
+
+
+def test_numeric_matches_reference_scan():
+    rng = random.Random(12)
+    draws = [[rng.randint(1, 60) for _ in range(rng.randint(1, 4))] for _ in range(1500)]
+    draws += [[1], [1, 1], [1, 60], [7, 7, 9], [9, 7, 9, 7], [60, 59, 59]]
+    coprime = [xs for xs in draws if reduce(math.gcd, xs) == 1]
+    assert any(1 in xs for xs in coprime)
+    assert any(len(set(xs)) < len(xs) for xs in coprime)
+    for xs in coprime:
+        assert numeric_frobenius(xs).g == reference_numeric_frobenius(xs), xs
+
+
+def roberts(a, d, s):
+    """Roberts (1956): g(a, a + d, ..., a + s·d) for gcd(a, d) = 1."""
+    return ((a - 2) // s + 1) * a + (d - 1) * (a - 1) - 1
+
+
+def test_numeric_arithmetic_sequences_closed_form():
+    rng = random.Random(14)
+    cases = [(4999, 3, 3), (7919, 10, 2)]
+    while len(cases) < 40:
+        a, d, s = rng.randint(2, 8000), rng.randint(1, 50), rng.randint(1, 6)
+        if math.gcd(a, d) == 1:
+            cases.append((a, d, s))
+    for a, d, s in cases:
+        coins = [a + i * d for i in range(s + 1)]
+        assert numeric_frobenius(coins).g == roberts(a, d, s), coins
 
 
 def _representable(value, xs):
@@ -173,8 +228,8 @@ def _representable(value, xs):
 
 
 def test_numeric_beyond_pairwise_bound():
-    # the two smallest inputs share a factor; the scan must keep going past
-    # their product to find the true largest gap
+    # the two smallest inputs share a factor; the answer lies past their
+    # product
     assert numeric_frobenius([4, 6, 99]).g == 101
     assert not _representable(101, [4, 6, 99])
     for v in range(102, 140):
@@ -188,6 +243,17 @@ def test_numeric_validation():
         numeric_frobenius([0, 3])
     with pytest.raises(ValueError):
         numeric_frobenius([2.5, 3])
+    with pytest.raises(ValueError, match="inputs must be positive integers"):
+        numeric_frobenius([True, 3])
+
+
+def test_numeric_budget_bounds_the_table():
+    # the table has min(xs) entries; the check comes after the gcd test
+    with pytest.raises(BudgetExceeded):
+        numeric_frobenius([101, 103], budget=100)
+    with pytest.raises(GcdNotOne):
+        numeric_frobenius([202, 206], budget=100)
+    assert numeric_frobenius([100, 103], budget=100).g == 100 * 103 - 100 - 103
 
 
 def test_length_spectrum_examples():
