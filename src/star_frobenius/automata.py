@@ -2,9 +2,9 @@
 
 Covers the position-automaton ("Glushkov") construction for an expression
 and for its star, subset determinization into a complete DFA, complement,
-trimming, finiteness via cycle detection, periodic backward layers for
-window queries, longest accepted word over the trimmed DAG, and a
-boolean reachability-matrix verifier for candidate rejected words.
+one trim sweep that also gives the cycle test and the longest-path table,
+periodic backward layers for window queries, and a boolean
+reachability-matrix verifier for candidate rejected words.
 
 All automata are immutable after construction; states are dense integer
 ids.  The starred position automaton of an expression with t symbol
@@ -14,8 +14,10 @@ entry p·|Σ| + i belongs to state p and the i-th letter, and ``row(p)`` is
 p's slice.  An NFA entry is the bitmask of the states reached, so letter
 i's rows are the slice ``transitions[i::|Σ|]``; a DFA entry is the id of
 the one state reached.  Every step after subset construction reads the
-DFA's list.  The longest witness is read off best[] greedily and the
-window witness off backward layers that stop at the first repeat.
+DFA's list.  One backward sweep over the trim's predecessor lists gives
+the cycle test and best[], the longest accepted length from each useful
+state.  The longest witness is read off best[] greedily and the window
+witness off backward layers that stop at the first repeat.
 """
 
 from __future__ import annotations
@@ -24,12 +26,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import itemgetter, or_
 
-from .errors import (
-    AlphabetMismatch,
-    InfiniteLanguage,
-    NfaFormatError,
-    UnknownSymbol,
-)
+from .errors import InfiniteLanguage, NfaFormatError, UnknownSymbol
 from .regex import (
     Alphabet,
     Concat,
@@ -78,8 +75,8 @@ class Nfa(_Table):
     transitions: list[int]
 
     def __post_init__(self):
-        states = frozenset(range(self.state_count))
-        if not self.initial <= states or not self.accepting <= states:
+        states = range(self.state_count)
+        if any(q not in states for q in self.initial | self.accepting):
             raise ValueError("initial/accepting state out of range")
         if len(self.transitions) != self.state_count * len(self.alphabet):
             raise ValueError("transition table length is not |Q| * |alphabet|")
@@ -113,12 +110,13 @@ class Dfa(_Table):
 
 @dataclass(frozen=True)
 class TrimmedView:
-    """States both reachable from the start and co-reachable to acceptance;
-    their transitions are the DFA's rows restricted to ``states``."""
+    """The states both reachable from the start and co-reachable to
+    acceptance, with best[p], the longest accepted length from p (-1 off
+    the view).  ``best`` is None when the view has a cycle, that is, when
+    the language is infinite."""
 
     states: frozenset[int]
-    start: int | None
-    accepting: frozenset[int]
+    best: list[int] | None
 
 
 def _position_data(ast: RegexAst):
@@ -314,6 +312,7 @@ def parse_nfa(text: str) -> Nfa:
 def subset_construct(nfa: Nfa, alphabet: Alphabet) -> Dfa:
     """Determinize over ``alphabet`` into a complete DFA.
 
+    ``alphabet`` must cover the NFA's, by resolve_alphabet's rule.
     Only reachable state subsets are materialized; the empty subset acts as
     the sink when some symbol leads nowhere.  State ids follow breadth-first
     discovery order, so the construction is deterministic.
@@ -326,11 +325,9 @@ def subset_construct(nfa: Nfa, alphabet: Alphabet) -> Dfa:
     and each subset needs one union.  The union is read a byte of S at a
     time from a per-group table whose entries are filled on first use.
     """
+    alphabet = resolve_alphabet(nfa.alphabet, alphabet)
     k = len(nfa.alphabet.symbols)
     own = {a: nfa.transitions[i::k] for i, a in enumerate(nfa.alphabet.symbols)}
-    extra = "".join(a for a, col in own.items() if any(col) and a not in alphabet)
-    if extra:
-        raise AlphabetMismatch(f"alphabet is missing symbol(s) {extra!r}")
 
     # A letter the NFA lacks leads nowhere.  Each list is a new one, since a
     # group ORs its later letters' rows into its first letter's list.
@@ -420,8 +417,16 @@ def complement(dfa: Dfa) -> Dfa:
 
 
 def trim_useful(dfa: Dfa) -> TrimmedView:
-    """Restrict to states reachable from the start and co-reachable to an
-    accepting state.  The language is unchanged."""
+    """The useful states (reachable from the start and co-reachable to
+    acceptance), the longest accepted length from each, and the cycle test.
+
+    The forward search lists each reachable state's predecessors.  The
+    backward search over those lists finds the useful states and counts
+    each one's edges into useful states; Kahn's algorithm on the reversed
+    edges then settles them successors first, raising best[p] to
+    best[q] + 1 as it settles q.  A useful state left unsettled lies on a
+    cycle.
+    """
     reachable = [False] * dfa.state_count
     reachable[dfa.start] = True
     predecessors: list[list[int]] = [[] for _ in range(dfa.state_count)]
@@ -434,49 +439,38 @@ def trim_useful(dfa: Dfa) -> TrimmedView:
                 queue.append(q)
 
     # Every state on a path from a reachable state is reachable, so the
-    # reachable predecessors suffice for the backward search.
-    useful = [False] * dfa.state_count
+    # reachable predecessors suffice for the backward search.  best >= 0
+    # marks a useful state; a useful state that is not accepting has a
+    # useful successor, so settling raises its best above 0.
+    best = [-1] * dfa.state_count
+    useful_edges = [0] * dfa.state_count  # out-edges into useful states
     queue = [q for q in dfa.accepting if reachable[q]]
     for q in queue:
-        useful[q] = True
+        best[q] = 0
     for q in queue:
         for p in predecessors[q]:
-            if not useful[p]:
-                useful[p] = True
+            useful_edges[p] += 1
+            if best[p] < 0:
+                best[p] = 0
                 queue.append(p)
 
-    states = frozenset(queue)
+    settled = [q for q in queue if not useful_edges[q]]
+    for q in settled:  # the list doubles as the FIFO queue
+        length = best[q] + 1
+        for p in predecessors[q]:
+            if best[p] < length:
+                best[p] = length
+            useful_edges[p] -= 1
+            if not useful_edges[p]:
+                settled.append(p)
     return TrimmedView(
-        states=states,
-        start=dfa.start if useful[dfa.start] else None,
-        accepting=dfa.accepting & states,
+        frozenset(queue), best if len(settled) == len(queue) else None
     )
-
-
-def topological_order(dfa: Dfa, view: TrimmedView) -> list[int] | None:
-    """Kahn order of the view's states, or None when the view has a cycle.
-
-    On a trimmed view a cycle means an infinite language; the order of an
-    acyclic view is what the longest-path step runs over.
-    """
-    indegree = dict.fromkeys(view.states, 0)
-    for p in view.states:
-        for q in dfa.row(p):
-            if q in indegree:
-                indegree[q] += 1
-    order = [p for p, d in indegree.items() if d == 0]
-    for p in order:  # the list doubles as the FIFO queue
-        for q in dfa.row(p):
-            if q in indegree:
-                indegree[q] -= 1
-                if indegree[q] == 0:
-                    order.append(q)
-    return order if len(order) == len(view.states) else None
 
 
 def is_infinite(dfa: Dfa) -> bool:
     """True iff the DFA's language is infinite (trimmed automaton has a cycle)."""
-    return topological_order(dfa, trim_useful(dfa)) is None
+    return trim_useful(dfa).best is None
 
 
 def window_accepts(dfa: Dfa, lo: int, hi: int) -> tuple[int, str] | None:
@@ -558,35 +552,27 @@ def longest_accepted(dfa: Dfa) -> tuple[int, str] | None:
     the trimmed sub-automaton, which is a DAG for finite languages.
     """
     view = trim_useful(dfa)
-    order = topological_order(dfa, view)
-    if order is None:
+    if view.best is None:
         raise InfiniteLanguage("language is infinite; no longest word exists")
-    return _longest_path(dfa, view, order)
+    return _longest_path(dfa, view)
 
 
-def _longest_path(
-    dfa: Dfa, view: TrimmedView, order: list[int]
-) -> tuple[int, str] | None:
-    """longest_accepted for a DFA whose trimmed view and its topological
-    order are already known; None when the view is empty.
+def _longest_path(dfa: Dfa, view: TrimmedView) -> tuple[int, str] | None:
+    """longest_accepted for a DFA whose acyclic trimmed view is already
+    known; None when the view is empty.
 
     best[p] is the longest accepted length from p, so each state on the run
     of a longest word has best = the number of letters still to read.
     """
-    if not order:
+    best = view.best
+    length = best[dfa.start]
+    if length < 0:
         return None
-    best: dict[int, int] = {}
-    for p in reversed(order):  # a view successor of p is already in best
-        lengths = [best[q] + 1 for q in dfa.row(p) if q in best]
-        if p in view.accepting:
-            lengths.append(0)
-        best[p] = max(lengths)
-    length = best[view.start]
     symbols = dfa.alphabet.symbols
-    p, word = view.start, []
+    p, word = dfa.start, []
     for r in range(length, 0, -1):
         for a, q in zip(symbols, dfa.row(p)):
-            if best.get(q) == r - 1:
+            if best[q] == r - 1:
                 word.append(a)
                 p = q
                 break

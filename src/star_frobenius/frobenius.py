@@ -25,7 +25,6 @@ from .automata import (
     glushkov_star,
     star_closure,
     subset_construct,
-    topological_order,
     trim_useful,
     window_accepts,
 )
@@ -79,9 +78,10 @@ def decide_cofinite(
     yields the degenerate co-finite result (the closure equals {ε} = Σ*).
 
     A regex is walked once: building its position automaton also yields
-    t (the automaton has t + 1 states) and the symbols it uses.  The
-    complement is trimmed and topologically sorted once; the cycle test
-    and the longest-path step share that result.
+    t (the automaton has t + 1 states) and the symbols it uses.  After
+    determinization the complement is read by one trim_useful call, whose
+    view gives the trimmed size, the cycle test (``best is None``) and the
+    longest-path table that the Frobenius witness is read off.
     """
     if isinstance(source, Nfa):
         star_nfa = star_closure(source)
@@ -94,7 +94,6 @@ def decide_cofinite(
     dfa = subset_construct(star_nfa, effective)
     comp = complement(dfa)
     view = trim_useful(comp)
-    order = topological_order(comp, view)
     n_prime = len(view.states)
     sizes = dict(
         nfa_states=star_nfa.state_count,
@@ -104,12 +103,12 @@ def decide_cofinite(
         alphabet=effective,
     )
 
-    if order is None:
+    if view.best is None:
         witness = window_accepts(comp, n_prime, 2 * n_prime)
         assert witness is not None, "window criterion must produce a witness"
         return CofiniteResult(cofinite=False, window_witness=witness, **sizes)
 
-    longest = _longest_path(comp, view, order)
+    longest = _longest_path(comp, view)
     if longest is None:
         return CofiniteResult(cofinite=True, **sizes)
     length, word = longest

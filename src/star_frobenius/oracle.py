@@ -168,12 +168,15 @@ def bruteforce_cofinite(
     if conclusive_bound is not None and conclusive_bound < 0:
         raise ValueError("conclusive_bound must be >= 0")
 
-    k = len(alphabet)
-    total = sum(k**length for length in range(horizon + 1))
-    if total > budget:
-        raise BudgetExceeded(
-            f"enumerating {total} words exceeds the budget of {budget}"
-        )
+    # count the words only until the count passes the budget
+    total, words = 0, 1
+    for length in range(horizon + 1):
+        total += words
+        words *= len(alphabet)
+        if total > budget:
+            raise BudgetExceeded(
+                f"the words of length up to {length} exceed the budget of {budget}"
+            )
 
     depth, levels = _tree_depth_and_levels(ast)
     limit = sys.getrecursionlimit() - _STACK_RESERVE

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -148,6 +149,12 @@ def test_subset_construct_sink_for_foreign_letter():
 def test_subset_construct_alphabet_mismatch():
     with pytest.raises(AlphabetMismatch):
         subset_construct(glushkov_star(parse_regex("ab")), Alphabet("a"))
+    # a declared letter without edges counts too, as in decide_cofinite
+    nfa = nfa_with_edges(2, "ab", [(0, "a", 1)])
+    with pytest.raises(AlphabetMismatch):
+        subset_construct(nfa, Alphabet("a"))
+    with pytest.raises(AlphabetMismatch):
+        decide_cofinite(nfa, Alphabet("a"))
 
 
 def reference_subset_construct(nfa, alphabet):
@@ -418,8 +425,8 @@ def reference_window_accepts(dfa, lo, hi):
     return length, "".join(out)
 
 
-def random_dfa(rng):
-    n = rng.randint(1, 30)
+def random_dfa(rng, max_states=30):
+    n = rng.randint(1, max_states)
     alphabet = Alphabet(rng.sample("abc", rng.randint(0, 3)))
     density = rng.choice([0.05, 0.2, 0.5])
     return Dfa(
@@ -522,6 +529,133 @@ def test_longest_accepted_examples():
         length = max(map(len, words))
         smallest = min(w for w in words if len(w) == length)
         assert longest_accepted(dfa) == (length, smallest)
+
+
+def brute_force_trim(dfa):
+    """The useful states, whether the language is infinite, and the longest
+    accepted word with its smallest witness (None when the language is
+    empty or infinite), from plain searches and from enumerating every
+    word of up to |Q| letters."""
+    n, symbols = dfa.state_count, dfa.alphabet.symbols
+    reachable = {dfa.start}
+    while True:
+        more = reachable | {q for p in reachable for q in dfa.row(p)}
+        if more == reachable:
+            break
+        reachable = more
+    coreachable = set(dfa.accepting)
+    while True:
+        more = coreachable | {
+            p for p in range(n) if any(q in coreachable for q in dfa.row(p))
+        }
+        if more == coreachable:
+            break
+        coreachable = more
+    # A run of |Q| letters repeats a state, so the language is infinite iff
+    # such a run can still be completed to an accepted word.
+    infinite = False
+    longest = None
+    for word in words_up_to(symbols, n):
+        state = dfa.start
+        for ch in word:
+            state = dfa.row(state)[symbols.index(ch)]
+        if len(word) == n and state in coreachable:
+            infinite = True
+        if state in dfa.accepting and (longest is None or len(word) > longest[0]):
+            longest = (len(word), word)
+    return reachable & coreachable, infinite, None if infinite else longest
+
+
+def assert_trim_matches_brute_force(dfa):
+    states, infinite, longest = brute_force_trim(dfa)
+    view = trim_useful(dfa)
+    assert view.states == states
+    assert (view.best is None) == infinite == is_infinite(dfa)
+    if infinite:
+        with pytest.raises(InfiniteLanguage):
+            longest_accepted(dfa)
+    else:
+        assert longest_accepted(dfa) == longest
+        assert view.best[dfa.start] == (-1 if longest is None else longest[0])
+        assert all(view.best[q] == -1 for q in set(range(dfa.state_count)) - states)
+
+
+@pytest.mark.parametrize(
+    "dfa, states, infinite, longest",
+    [
+        # 2 accepts but is unreachable; 3 is a rejecting sink
+        (
+            Dfa(4, Alphabet("a"), 0, frozenset({1, 2}), [1, 3, 1, 3]),
+            {0, 1},
+            False,
+            (1, "a"),
+        ),
+        # b leads into the dead cycle 2 <-> 3, which never reaches acceptance
+        (
+            Dfa(5, Alphabet("ab"), 0, frozenset({1}), [1, 2, 4, 4, 3, 3, 2, 2, 4, 4]),
+            {0, 1},
+            False,
+            (1, "a"),
+        ),
+        # an accepting self-loop: a*
+        (Dfa(2, Alphabet("ab"), 0, frozenset({0}), [0, 1, 1, 1]), {0}, True, None),
+        # a rejecting self-loop before acceptance: a*b
+        (
+            Dfa(3, Alphabet("ab"), 0, frozenset({1}), [0, 1, 2, 2, 2, 2]),
+            {0, 1},
+            True,
+            None,
+        ),
+        # two paths of different lengths into one accepting state: a+bbbb
+        (
+            Dfa(
+                6,
+                Alphabet("ab"),
+                0,
+                frozenset({4}),
+                [4, 1, 5, 2, 5, 3, 5, 4, 5, 5, 5, 5],
+            ),
+            {0, 1, 2, 3, 4},
+            False,
+            (4, "bbbb"),
+        ),
+        # nothing accepts
+        (Dfa(2, Alphabet("a"), 0, frozenset(), [1, 0]), set(), False, None),
+    ],
+)
+def test_trim_hand_built(dfa, states, infinite, longest):
+    assert brute_force_trim(dfa) == (states, infinite, longest)
+    assert_trim_matches_brute_force(dfa)
+
+
+def random_forward_dfa(rng, max_states):
+    """Edges mostly to higher states, so that many languages are finite
+    and hold long words; the last state loops on itself, and an occasional
+    edge to any state can close a cycle, live or dead."""
+    n = rng.randint(1, max_states)
+    alphabet = Alphabet(rng.sample("abc", rng.randint(1, 3)))
+    back = rng.choice([0, 0.05, 0.2])
+    transitions = [
+        rng.randrange(n)
+        if rng.random() < back
+        else rng.randint(min(p + 1, n - 1), n - 1)
+        for p in range(n)
+        for _ in alphabet
+    ]
+    return Dfa(
+        n,
+        alphabet,
+        rng.choice([0, rng.randrange(n)]),
+        frozenset(q for q in range(n - 1) if rng.random() < 0.4),
+        transitions,
+    )
+
+
+def test_trim_matches_brute_force_on_random_dfas():
+    rng = random.Random(97)
+    for _ in range(800):
+        assert_trim_matches_brute_force(random_dfa(rng, max_states=7))
+        assert_trim_matches_brute_force(random_forward_dfa(rng, max_states=8))
 
 
 def test_longest_accepted_rejects_infinite():
@@ -636,6 +770,16 @@ def test_parse_nfa_roundtrip_language():
 def test_parse_nfa_errors(text):
     with pytest.raises(NfaFormatError):
         parse_nfa(text)
+
+
+def test_nfa_range_check_allocates_nothing_per_state():
+    tracemalloc.start()
+    try:
+        Nfa(10**6, Alphabet(), {0}, {0}, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -222,6 +223,15 @@ def test_oracle_budget_env_override(capsys, monkeypatch):
         capsys, ["oracle", "a+b", "--horizon", "4"]
     )
     assert code == 4
+    assert "budget" in err
+
+
+def test_oracle_huge_horizon_exits_4_at_once(capsys):
+    # 2**100001 - 1 words: the check stops counting at the budget
+    started = time.perf_counter()
+    code, out, err = run(capsys, ["oracle", "a+b", "--horizon", "100000"])
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (4, "")
     assert "budget" in err
 
 
