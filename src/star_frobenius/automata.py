@@ -309,10 +309,11 @@ def parse_nfa(text: str) -> Nfa:
     return Nfa(state_count, alphabet, initial, accepting, table)
 
 
-def subset_construct(nfa: Nfa, alphabet: Alphabet) -> Dfa:
+def subset_construct(nfa: Nfa, alphabet: Alphabet | None) -> Dfa:
     """Determinize over ``alphabet`` into a complete DFA.
 
-    ``alphabet`` must cover the NFA's, by resolve_alphabet's rule.
+    ``alphabet`` (None for the NFA's own) must cover the NFA's, by
+    resolve_alphabet's rule.
     Only reachable state subsets are materialized; the empty subset acts as
     the sink when some symbol leads nowhere.  State ids follow breadth-first
     discovery order, so the construction is deterministic.

@@ -1,8 +1,9 @@
 """Exception hierarchy shared by every module.
 
-Two broad families matter to callers: ``InputError`` (the text handed to us
-is malformed) and ``SemanticError`` (the input is well-formed but asks for
-something undefined, such as a Frobenius number of a non-coprime set).
+Three broad families matter to callers: ``InputError`` (the text handed to
+us is malformed), ``SemanticError`` (the input is well-formed but asks for
+something undefined, such as a Frobenius number of a non-coprime set) and
+``BudgetExceeded`` (a size limit was hit, including ``TooLarge``).
 The CLI maps these families onto exit codes.
 """
 
@@ -55,10 +56,6 @@ class BadLengths(InputError):
     """A word in a two-length set check has a length outside the pair."""
 
 
-class TooLarge(InputError):
-    """Instance exceeds the size guard of an exhaustive operation."""
-
-
 class AlphabetMismatch(SemanticError):
     """A declared alphabet does not cover every symbol actually used."""
 
@@ -84,3 +81,8 @@ class BudgetExceeded(Error):
     """A size limit was hit: the oracle's enumeration would exceed its word
     budget (or the interpreter's stack), or the numeric solver's residue
     table would have more entries than its budget allows."""
+
+
+class TooLarge(BudgetExceeded):
+    """Instance exceeds the size guard of an exhaustive operation, such as
+    the variable limit of the brute-force SAT check."""

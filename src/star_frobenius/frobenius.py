@@ -37,7 +37,6 @@ from .regex import (
     RegexAst,
     Symbol,
     Union,
-    resolve_alphabet,
 )
 
 
@@ -89,9 +88,8 @@ def decide_cofinite(
     else:
         star_nfa = glushkov_star(source)
         t = star_nfa.state_count - 1
-    effective = resolve_alphabet(star_nfa.alphabet, alphabet)
 
-    dfa = subset_construct(star_nfa, effective)
+    dfa = subset_construct(star_nfa, alphabet)
     comp = complement(dfa)
     view = trim_useful(comp)
     n_prime = len(view.states)
@@ -100,7 +98,7 @@ def decide_cofinite(
         dfa_states=dfa.state_count,
         trimmed_complement_states=n_prime,
         symbol_count=t,
-        alphabet=effective,
+        alphabet=dfa.alphabet,
     )
 
     if view.best is None:

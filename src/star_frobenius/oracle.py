@@ -88,6 +88,21 @@ def _tree_depth_and_levels(ast: RegexAst) -> tuple[int, int]:
     return fold(ast, visit)
 
 
+def _length_over_budget(letters: int, horizon: int, budget: int) -> int | None:
+    """The first length up to which the words over ``letters`` letters
+    outnumber ``budget``, or None when every length up to ``horizon`` fits.
+    The count stops at the budget; over one letter it is length + 1."""
+    if letters == 1:
+        return max(budget, 0) if horizon >= budget else None
+    total, words = 0, 1
+    for length in range(horizon + 1):
+        total += words
+        words *= letters
+        if total > budget:
+            return length
+    return None
+
+
 def regex_match(ast: RegexAst, word: str) -> bool:
     """True iff the word is in L(ast)."""
     return Matcher(ast).matches(word)
@@ -168,15 +183,11 @@ def bruteforce_cofinite(
     if conclusive_bound is not None and conclusive_bound < 0:
         raise ValueError("conclusive_bound must be >= 0")
 
-    # count the words only until the count passes the budget
-    total, words = 0, 1
-    for length in range(horizon + 1):
-        total += words
-        words *= len(alphabet)
-        if total > budget:
-            raise BudgetExceeded(
-                f"the words of length up to {length} exceed the budget of {budget}"
-            )
+    length = _length_over_budget(len(alphabet), horizon, budget)
+    if length is not None:
+        raise BudgetExceeded(
+            f"the words of length up to {length} exceed the budget of {budget}"
+        )
 
     depth, levels = _tree_depth_and_levels(ast)
     limit = sys.getrecursionlimit() - _STACK_RESERVE

@@ -255,6 +255,8 @@ _SUITES = (
 
 def run_selftest(seed: int, cases: int) -> list[SuiteResult]:
     """Run every suite with per-suite RNGs derived from the seed."""
+    if cases < 0:
+        raise ValueError("cases must be >= 0")
     results = []
     for suite in _SUITES:
         rng = random.Random(f"{seed}/{suite.__name__}")

@@ -3,7 +3,6 @@ import time
 import tracemalloc
 from functools import reduce
 
-import numpy as np
 import pytest
 
 from conftest import naive_bool_matrices, naive_bool_product, words_up_to
@@ -385,42 +384,37 @@ def test_window_accepts_fails_fast_on_huge_window():
 
 
 def reference_window_accepts(dfa, lo, hi):
-    """Forward layers to find the length, then an (ℓ + 1) × |Q| matrix of
-    backward layers to walk the smallest word."""
+    """Forward state sets from the start to find the smallest accepted
+    length ℓ in [lo, hi), then ℓ + 1 backward sets, the states with an
+    accepted word of exactly r letters, to walk the smallest word."""
     if not 0 <= lo <= hi:
         raise ValueError("window must satisfy 0 <= lo <= hi")
     if lo == hi:
         return None
-    n = dfa.state_count
-    table = np.array(dfa.transitions, dtype=np.intp)
-    successors = list(table.reshape(n, len(dfa.alphabet)).T.copy())
-    accepting = np.zeros(n, dtype=bool)
-    accepting[list(dfa.accepting)] = True
-    current = np.zeros(n, dtype=bool)
-    current[dfa.start] = True
+    n, k = dfa.state_count, len(dfa.alphabet)
+    rows = [dfa.transitions[p * k : (p + 1) * k] for p in range(n)]
+    current = {dfa.start}
     for length in range(hi):
-        if length >= lo and bool((current & accepting).any()):
+        if length >= lo and not current.isdisjoint(dfa.accepting):
             break
-        if not current.any():
+        if not current:
             return None
-        nxt = np.zeros(n, dtype=bool)
-        for succ in successors:
-            nxt[succ[current]] = True
-        current = nxt
+        current = {q for p in current for q in rows[p]}
     else:
         return None
-    layers = np.zeros((length + 1, n), dtype=bool)
-    layers[length] = accepting
-    for j in range(length - 1, -1, -1):
-        for succ in successors:
-            layers[j] |= layers[j + 1][succ]
+    predecessors = [[] for _ in range(n)]
+    for p in range(n):
+        for q in rows[p]:
+            predecessors[q].append(p)
+    backward = [set(dfa.accepting)]
+    for _ in range(length):
+        backward.append({p for q in backward[-1] for p in predecessors[q]})
     state, out = dfa.start, []
-    for j in range(length):
-        for a, succ in zip(dfa.alphabet.symbols, successors):
-            q = succ[state]
-            if layers[j + 1][q]:
+    for remaining in range(length - 1, -1, -1):
+        for a, q in zip(dfa.alphabet.symbols, rows[state]):
+            if q in backward[remaining]:
                 out.append(a)
-                state = int(q)
+                state = q
                 break
     return length, "".join(out)
 

@@ -173,6 +173,18 @@ def test_sat_command(capsys, tmp_path):
     assert env["result"] == {"satisfiable": False, "assignment": None}
 
 
+def test_sat_over_brute_force_limit_exit_4(capsys, tmp_path):
+    path = tmp_path / "wide.cnf"
+    clauses = [(v, v + 1, v + 2) for v in range(1, 24, 3)] + [(23, 24, 25)]
+    path.write_text(
+        "p cnf 25 9\n" + "".join(f"{a} {b} {c} 0\n" for a, b, c in clauses),
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, ["sat", str(path)])
+    assert (code, out) == (4, "")
+    assert "brute-force limit of 24" in err
+
+
 def test_numeric_command(capsys):
     code, env = run_json(capsys, ["numeric", "3", "5"])
     assert code == 0
@@ -240,6 +252,12 @@ def test_selftest_small(capsys):
     assert code == 0
     assert env["result"]["all_passed"] is True
     assert len(env["result"]["suites"]) == 7
+
+
+def test_selftest_negative_cases_exit_2(capsys):
+    code, out, err = run(capsys, ["selftest", "--cases", "-1"])
+    assert (code, out) == (2, "")
+    assert "cases" in err
 
 
 def test_text_format(capsys):

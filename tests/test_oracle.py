@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -107,6 +108,19 @@ def test_budget_guard():
         bruteforce_cofinite(
             parse_regex("ab"), Alphabet("ab"), 4, budget=10
         )
+
+
+def test_budget_guard_one_letter_at_once():
+    # over one letter there are horizon + 1 words: no count up to the budget
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="up to 100000000 exceed"):
+        bruteforce_cofinite(parse_regex("a"), Alphabet("a"), 10**12, budget=10**8)
+    assert time.perf_counter() - started < 0.5
+    # the boundary: 10 words fit a budget of 10, 11 do not
+    report = bruteforce_cofinite(parse_regex("a"), Alphabet("a"), 9, budget=10)
+    assert report.horizon == 9
+    with pytest.raises(BudgetExceeded, match="up to 10 exceed"):
+        bruteforce_cofinite(parse_regex("a"), Alphabet("a"), 10, budget=10)
 
 
 def test_preconditions():
