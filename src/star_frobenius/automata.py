@@ -12,8 +12,10 @@ occurrences has exactly t + 1 states.
 Both automata keep their transitions in one flat list with one layout:
 entry p·|Σ| + i belongs to state p and the i-th letter, and ``row(p)`` is
 p's slice.  An NFA entry is the bitmask of the states reached, so letter
-i's rows are the slice ``transitions[i::|Σ|]``; a DFA entry is the id of
-the one state reached.  Every step after subset construction reads the
+i's rows are the slice ``transitions[i::|Σ|]``, and its initial and
+accepting sets are bitmasks too.  A DFA entry is the id of the one state
+reached, and its accepting set is one 0/1 byte per state, the form of the
+window's backward layers.  Every step after subset construction reads the
 DFA's list.  One backward sweep over the trim's predecessor lists gives
 the cycle test and best[], the longest accepted length from each useful
 state.  The longest witness is read off best[] greedily and the window
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import compress
 from operator import itemgetter, or_
 
 from .errors import InfiniteLanguage, NfaFormatError, UnknownSymbol
@@ -41,17 +44,13 @@ from .regex import (
 )
 
 
-def _mask(states) -> int:
-    """The bitmask of a set of state ids."""
-    return reduce(or_, (1 << q for q in states), 0)
-
-
 def _members(mask: int):
-    """The state ids in a bitmask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """The state ids in a bitmask, lowest first, in time linear in its bits."""
+    bits = bin(mask)[:1:-1]  # bit q is character q
+    q = bits.find("1")
+    while q >= 0:
+        yield q
+        q = bits.find("1", q + 1)
 
 
 class _Table:
@@ -66,17 +65,18 @@ class _Table:
 @dataclass(frozen=True)
 class Nfa(_Table):
     """Nondeterministic automaton; ``transitions[p * |Σ| + i]`` is the
-    bitmask of the states reached from p on the i-th letter."""
+    bitmask of the states reached from p on the i-th letter, and
+    ``initial`` and ``accepting`` are bitmasks of states too."""
 
     state_count: int
     alphabet: Alphabet
-    initial: frozenset[int]
-    accepting: frozenset[int]
+    initial: int
+    accepting: int
     transitions: list[int]
 
     def __post_init__(self):
-        states = range(self.state_count)
-        if any(q not in states for q in self.initial | self.accepting):
+        initial, accepting = self.initial, self.accepting
+        if min(initial, accepting) < 0 or (initial | accepting) >> self.state_count:
             raise ValueError("initial/accepting state out of range")
         if len(self.transitions) != self.state_count * len(self.alphabet):
             raise ValueError("transition table length is not |Q| * |alphabet|")
@@ -92,30 +92,36 @@ class Nfa(_Table):
 
 @dataclass(frozen=True)
 class Dfa(_Table):
-    """Complete DFA; ``transitions[p * |Σ| + i]`` is δ(p, i-th letter)."""
+    """Complete DFA; ``transitions[p * |Σ| + i]`` is δ(p, i-th letter), and
+    ``accepting`` holds |Q| bytes, ``accepting[p]`` 1 when p accepts, else 0."""
 
     state_count: int
     alphabet: Alphabet
     start: int
-    accepting: frozenset[int]
+    accepting: bytes
     transitions: list[int]
 
     def __post_init__(self):
-        states = range(self.state_count)
-        if self.start not in states or any(q not in states for q in self.accepting):
+        n, table, targets = self.state_count, self.accepting, self.transitions
+        # translate(None, b"\0\1") keeps the bytes other than 0 and 1
+        if not isinstance(table, bytes) or table.translate(None, b"\0\1"):
+            raise ValueError("accepting table is not bytes of 0 or 1")
+        if not 0 <= self.start < n or len(table) != n:
             raise ValueError("start/accepting state out of range")
-        if len(self.transitions) != self.state_count * len(self.alphabet):
+        if len(targets) != n * len(self.alphabet):
             raise ValueError("transition table length is not |Q| * |alphabet|")
+        if min(targets, default=0) < 0 or max(targets, default=0) >= n:
+            raise ValueError("transition state out of range")
 
 
 @dataclass(frozen=True)
 class TrimmedView:
     """The states both reachable from the start and co-reachable to
-    acceptance, with best[p], the longest accepted length from p (-1 off
-    the view).  ``best`` is None when the view has a cycle, that is, when
-    the language is infinite."""
+    acceptance, each listed once, with best[p], the longest accepted length
+    from p (-1 off the view).  ``best`` is None when the view has a cycle,
+    that is, when the language is infinite."""
 
-    states: frozenset[int]
+    states: list[int]
     best: list[int] | None
 
 
@@ -177,8 +183,8 @@ def glushkov(ast: RegexAst, alphabet: Alphabet | None = None) -> Nfa:
     return Nfa(
         state_count=len(follow),
         alphabet=effective,
-        initial=frozenset({0}),
-        accepting=frozenset(_members(last | nullable)),  # 0 iff nullable
+        initial=1,
+        accepting=last | nullable,  # state 0 iff nullable
         transitions=[successors & m for successors in follow for m in masks],
     )
 
@@ -195,12 +201,12 @@ def glushkov_star(ast: RegexAst, alphabet: Alphabet | None = None) -> Nfa:
 
 def nfa_accepts(nfa: Nfa, word: str) -> bool:
     """Direct subset simulation of one word."""
-    symbols, current = nfa.alphabet.symbols, _mask(nfa.initial)
+    symbols, current = nfa.alphabet.symbols, nfa.initial
     for ch in word:
         if not current or ch not in symbols:
             return False
         current = nfa.image(current, symbols.index(ch))
-    return bool(current & _mask(nfa.accepting))
+    return bool(current & nfa.accepting)
 
 
 def star_closure(nfa: Nfa) -> Nfa:
@@ -213,18 +219,16 @@ def star_closure(nfa: Nfa) -> Nfa:
     be re-entered mid-run.
     """
     k = len(nfa.alphabet.symbols)
-    fresh_row = [0] * k
-    for p in nfa.initial:
-        fresh_row = list(map(or_, fresh_row, nfa.row(p)))
+    fresh_row = [nfa.image(nfa.initial, i) for i in range(k)]
     table = list(nfa.transitions)
-    for f in nfa.accepting:
+    for f in _members(nfa.accepting):
         table[f * k : f * k + k] = map(or_, nfa.row(f), fresh_row)
     fresh = nfa.state_count
     return Nfa(
         state_count=fresh + 1,
         alphabet=nfa.alphabet,
-        initial=frozenset({fresh}),
-        accepting=nfa.accepting | {fresh},
+        initial=1 << fresh,
+        accepting=nfa.accepting | 1 << fresh,
         transitions=table + fresh_row,
     )
 
@@ -245,21 +249,25 @@ def parse_nfa(text: str) -> Nfa:
     header = ["states", "alphabet", "initial", "accepting"]
     state_count = None
     alphabet = Alphabet()
-    initial: frozenset[int] = frozenset()
-    accepting: frozenset[int] = frozenset()
+    initial = accepting = 0
     stage = 0
 
-    def ids(tokens: list[str], lineno: int) -> frozenset[int]:
-        out = set()
+    def state_id(tok: str, lineno: int) -> int:
+        try:
+            value = int(tok)
+        except ValueError:
+            raise NfaFormatError(f"expected a state id, got {tok!r}", lineno)
+        if not 0 <= value < state_count:
+            raise NfaFormatError(f"state id {value} out of range", lineno)
+        return value
+
+    def state_mask(tokens: list[str], lineno: int) -> int:
+        # bits set in a byte buffer; OR-ing 1 << q into an int copies it per id
+        bits = bytearray((state_count + 7) >> 3)
         for tok in tokens:
-            try:
-                value = int(tok)
-            except ValueError:
-                raise NfaFormatError(f"expected a state id, got {tok!r}", lineno)
-            if not 0 <= value < state_count:
-                raise NfaFormatError(f"state id {value} out of range", lineno)
-            out.add(value)
-        return frozenset(out)
+            q = state_id(tok, lineno)
+            bits[q >> 3] |= 1 << (q & 7)
+        return int.from_bytes(bits, "little")
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -288,16 +296,16 @@ def parse_nfa(text: str) -> Nfa:
                     raise NfaFormatError(str(exc), lineno)
                 table = [0] * (state_count * len(alphabet))
             elif keyword == "initial":
-                initial = ids(tokens[1:], lineno)
+                initial = state_mask(tokens[1:], lineno)
             else:
-                accepting = ids(tokens[1:], lineno)
+                accepting = state_mask(tokens[1:], lineno)
             stage += 1
             continue
         if len(tokens) != 3:
             raise NfaFormatError("expected transition 'p a q'", lineno)
         src, sym, dst = tokens
-        (p,) = ids([src], lineno)
-        (q,) = ids([dst], lineno)
+        p = state_id(src, lineno)
+        q = state_id(dst, lineno)
         if sym not in alphabet:
             raise NfaFormatError(f"symbol {sym!r} not in alphabet", lineno)
         table[p * len(alphabet) + alphabet.symbols.index(sym)] |= 1 << q
@@ -353,9 +361,8 @@ def subset_construct(nfa: Nfa, alphabet: Alphabet | None) -> Dfa:
             group_enters = entered
         enters.append(entered)
 
-    start_mask = _mask(nfa.initial)
-    id_of = {start_mask: 0}
-    masks = [start_mask]
+    id_of = {nfa.initial: 0}
+    masks = [nfa.initial]
     transitions: list[int] = []
     for mask in masks:  # the list doubles as the BFS queue
         # Only the bytes from the lowest to the highest member are read;
@@ -386,10 +393,7 @@ def subset_construct(nfa: Nfa, alphabet: Alphabet | None) -> Dfa:
                     masks.append(nxt)
                 transitions.append(target)
 
-    accept_mask = _mask(nfa.accepting)
-    accepting = frozenset(
-        i for i, mask in enumerate(masks) if mask & accept_mask
-    )
+    accepting = bytes(mask & nfa.accepting != 0 for mask in masks)
     return Dfa(len(masks), alphabet, 0, accepting, transitions)
 
 
@@ -400,19 +404,20 @@ def dfa_accepts(dfa: Dfa, word: str) -> bool:
         if ch not in index:
             return False
         state = dfa.row(state)[index[ch]]
-    return state in dfa.accepting
+    return bool(dfa.accepting[state])
 
 
 def complement(dfa: Dfa) -> Dfa:
     """Swap accepting and non-accepting states; requires a complete DFA.
 
-    The complement shares the transition table of ``dfa``.
+    The complement shares the transition table of ``dfa`` and flips each
+    byte of its acceptance table.
     """
     return Dfa(
         state_count=dfa.state_count,
         alphabet=dfa.alphabet,
         start=dfa.start,
-        accepting=frozenset(range(dfa.state_count)) - dfa.accepting,
+        accepting=dfa.accepting.translate(bytes.maketrans(b"\0\1", b"\1\0")),
         transitions=dfa.transitions,
     )
 
@@ -445,7 +450,8 @@ def trim_useful(dfa: Dfa) -> TrimmedView:
     # useful successor, so settling raises its best above 0.
     best = [-1] * dfa.state_count
     useful_edges = [0] * dfa.state_count  # out-edges into useful states
-    queue = [q for q in dfa.accepting if reachable[q]]
+    accepting = compress(range(dfa.state_count), dfa.accepting)
+    queue = [q for q in accepting if reachable[q]]
     for q in queue:
         best[q] = 0
     for q in queue:
@@ -464,9 +470,7 @@ def trim_useful(dfa: Dfa) -> TrimmedView:
             useful_edges[p] -= 1
             if not useful_edges[p]:
                 settled.append(p)
-    return TrimmedView(
-        frozenset(queue), best if len(settled) == len(queue) else None
-    )
+    return TrimmedView(queue, best if len(settled) == len(queue) else None)
 
 
 def is_infinite(dfa: Dfa) -> bool:
@@ -477,7 +481,7 @@ def is_infinite(dfa: Dfa) -> bool:
 def window_accepts(dfa: Dfa, lo: int, hi: int) -> tuple[int, str] | None:
     """Smallest accepted length in [lo, hi) with its smallest witness word.
 
-    Backward layers: B_0 is the accepting set and B_{j+1} the states with a
+    Backward layers: B_0 is the acceptance table and B_{j+1} the states with a
     letter into B_j, so B_j holds the states with an accepted word of
     exactly j letters.  B_{j+1} depends only on B_j, so once a layer equals
     an earlier B_μ the layers repeat with period j − μ, and the smallest
@@ -499,10 +503,7 @@ def window_accepts(dfa: Dfa, lo: int, hi: int) -> tuple[int, str] | None:
     # one-index itemgetter returns a bare item, but a 1-state DFA's only
     # successor is state 0, so there the gather is B_j itself
     gathers = [itemgetter(*table[i::k]) if n > 1 else bytes for i in range(k)]
-    accepting = bytearray(n)
-    for q in dfa.accepting:
-        accepting[q] = 1
-    layer = bytes(accepting)  # B_j, one 0/1 byte per state
+    layer = dfa.accepting  # B_j, one 0/1 byte per state
     first_seen: dict[bytes, int] = {}  # B_j -> j
     length = None
     for j in range(hi):
@@ -626,5 +627,4 @@ def verify_rejected(nfa: Nfa, word: str) -> bool:
     matrix = ReachabilityMatrix.identity(nfa.state_count)
     for ch in word:
         matrix = matrix.multiply(ReachabilityMatrix.for_letter(nfa, ch))
-    accept_mask = _mask(nfa.accepting)
-    return not any(matrix.rows[i] & accept_mask for i in nfa.initial)
+    return not any(matrix.rows[i] & nfa.accepting for i in _members(nfa.initial))

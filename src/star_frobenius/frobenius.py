@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 from .automata import (
     Nfa,
     _longest_path,
-    _mask,
     complement,
     glushkov,
     glushkov_star,
@@ -203,7 +202,7 @@ def length_spectrum(
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     nfa = source if isinstance(source, Nfa) else glushkov(source)
-    current, accept = _mask(nfa.initial), _mask(nfa.accepting)
+    current, accept = nfa.initial, nfa.accepting
     letters = range(len(nfa.alphabet))
     lengths: set[int] = set()
     for length in range(horizon + 1):

@@ -14,6 +14,19 @@ def words_up_to(alphabet, max_length):
             yield "".join(letters)
 
 
+def acceptance_table(states, state_count):
+    """A DFA's acceptance table: one byte per state, 1 for those in
+    ``states`` and 0 for the rest."""
+    return bytes(q in states for q in range(state_count))
+
+
+def accepting_states(table):
+    """The set of states a DFA acceptance table marks with 1.  Reading the
+    table itself as a set (``q in table``, ``set(table)``) compares byte
+    values, not states."""
+    return {q for q, flag in enumerate(table) if flag}
+
+
 def sign_patterns(variables):
     """All clauses over exactly the given distinct variables."""
     return [

@@ -5,7 +5,13 @@ from functools import reduce
 
 import pytest
 
-from conftest import naive_bool_matrices, naive_bool_product, words_up_to
+from conftest import (
+    acceptance_table,
+    accepting_states,
+    naive_bool_matrices,
+    naive_bool_product,
+    words_up_to,
+)
 from star_frobenius import (
     Alphabet,
     AlphabetMismatch,
@@ -50,8 +56,8 @@ SIGMA34 = words_to_regex(
 def test_glushkov_star_single_symbol():
     nfa = glushkov_star(parse_regex("a"))
     assert nfa.state_count == 2
-    assert nfa.initial == {0}
-    assert nfa.accepting == {0, 1}
+    assert nfa.initial == 0b1
+    assert nfa.accepting == 0b11
     for word, expected in [("", True), ("a", True), ("aaaa", True)]:
         assert nfa_accepts(nfa, word) == expected
 
@@ -64,15 +70,15 @@ def test_glushkov_tables():
     assert nfa.alphabet == Alphabet("ab")
     assert nfa.transitions == [0b10, 0b1000, 0, 0b100, 0, 0, 0, 0b1000]
     assert nfa.row(3) == [0, 0b1000]
-    assert nfa.accepting == {0, 2, 3}
+    assert nfa.accepting == 0b1101
     # the star adds follow(2) = follow(3) = first
     star = glushkov_star(parse_regex("ab+b*"))
     assert star.transitions == [0b10, 0b1000, 0, 0b100, 0b10, 0b1000, 0b10, 0b1000]
-    assert star.accepting == {0, 2, 3}
+    assert star.accepting == 0b1101
     # a declared letter the expression lacks gets a zero column
     star = glushkov_star(parse_regex("ab"), Alphabet("abc"))
     assert star.transitions == [0b10, 0, 0, 0, 0b100, 0, 0b10, 0, 0]
-    assert star.accepting == {0, 2}
+    assert star.accepting == 0b101
 
 
 def test_star_closure_tables():
@@ -82,7 +88,7 @@ def test_star_closure_tables():
     assert nfa.transitions == [0b1, 0b10, 0, 0]
     closed = star_closure(nfa)
     assert closed.transitions == [0b1, 0b10, 0b1, 0b10, 0b1, 0b10]
-    assert (closed.initial, closed.accepting) == ({2}, {1, 2})
+    assert (closed.initial, closed.accepting) == (0b100, 0b110)
     # two initial states: the fresh row is the union of their rows, and it
     # is ORed into each accepting row (an initial one included)
     nfa = parse_nfa(
@@ -92,7 +98,7 @@ def test_star_closure_tables():
     assert nfa.transitions == [0b10, 0, 0, 0b100, 0b1, 0]
     closed = star_closure(nfa)
     assert closed.transitions == [0b10, 0b100, 0, 0b100, 0b11, 0b100, 0b10, 0b100]
-    assert (closed.initial, closed.accepting) == ({3}, {0, 2, 3})
+    assert (closed.initial, closed.accepting) == (0b1000, 0b1101)
 
 
 def test_glushkov_star_two_or_three():
@@ -125,7 +131,7 @@ def test_subset_construct_a_star():
     dfa = subset_construct(glushkov_star(parse_regex("a")), Alphabet("a"))
     # reachable subsets {0} and {1}; both accept, so the language is a*
     assert dfa.state_count == 2
-    assert dfa.accepting == {0, 1}
+    assert dfa.accepting == b"\1\1"
     for word in words_up_to("a", 6):
         assert dfa_accepts(dfa, word)
 
@@ -165,7 +171,7 @@ def reference_subset_construct(nfa, alphabet):
         for a, targets in zip(nfa.alphabet, nfa.row(p)):
             if targets:
                 rows[a][p] = targets
-    start = sum(1 << q for q in nfa.initial)
+    start = nfa.initial
     id_of = {start: 0}
     masks = [start]
     transitions = []
@@ -181,9 +187,9 @@ def reference_subset_construct(nfa, alphabet):
                 id_of[nxt] = len(masks)
                 masks.append(nxt)
             transitions.append(id_of[nxt])
-    accept = sum(1 << q for q in nfa.accepting)
-    accepting = frozenset(i for i, m in enumerate(masks) if m & accept)
-    return Dfa(len(masks), alphabet, 0, accepting, transitions)
+    accepting = {i for i, m in enumerate(masks) if m & nfa.accepting}
+    table = acceptance_table(accepting, len(masks))
+    return Dfa(len(masks), alphabet, 0, table, transitions)
 
 
 def assert_same_dfa(nfa, alphabet):
@@ -215,8 +221,8 @@ def random_nfa(rng):
         for p in range(n)
         for a in alphabet
     ]
-    initial = frozenset(q for q in range(n) if rng.random() < 0.3)
-    accepting = frozenset(q for q in range(n) if rng.random() < 0.4)
+    initial = sum(1 << q for q in range(n) if rng.random() < 0.3)
+    accepting = sum(1 << q for q in range(n) if rng.random() < 0.4)
     return Nfa(n, alphabet, initial, accepting, transitions)
 
 
@@ -234,13 +240,7 @@ def nfa_with_edges(state_count, alphabet, edges):
     transitions = [0] * (state_count * len(alphabet))
     for p, a, q in edges:
         transitions[p * len(alphabet) + alphabet.symbols.index(a)] |= 1 << q
-    return Nfa(
-        state_count,
-        alphabet,
-        frozenset({0}),
-        frozenset({state_count - 1}),
-        transitions,
-    )
+    return Nfa(state_count, alphabet, 1, 1 << state_count - 1, transitions)
 
 
 @pytest.mark.parametrize(
@@ -304,22 +304,37 @@ def test_complement_parity_flip():
         assert dfa_accepts(comp, word) == (len(word) % 2 == 1)
 
 
+def test_complement_allocates_one_table():
+    # a million states and no letters: the complement's acceptance table
+    # is one byte per state, with no per-state set of ids
+    dfa = Dfa(10**6, Alphabet(), 0, bytes(10**6), [])
+    tracemalloc.start()
+    try:
+        comp = complement(dfa)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert comp.accepting == b"\1" * 10**6
+    assert complement(comp) == dfa
+
+
 def test_trim_excludes_unreachable_accepting():
     dfa = Dfa(
         state_count=3,
         alphabet=Alphabet("a"),
         start=0,
-        accepting=frozenset({0, 2}),
+        accepting=b"\1\0\1",
         transitions=[0, 2, 2],
     )
     view = trim_useful(dfa)
-    assert view.states == {0}
+    assert view.states == [0]
     assert 2 not in view.states
 
 
 def test_trim_empty_when_no_accepting():
     comp = complement(subset_construct(glushkov_star(parse_regex("a")), Alphabet("a")))
-    assert trim_useful(comp).states == frozenset()
+    assert trim_useful(comp).states == []
 
 
 def test_trim_parity_complement_keeps_cycle():
@@ -376,9 +391,9 @@ def test_window_accepts_validates_bounds():
 
 
 def test_window_accepts_fails_fast_on_huge_window():
-    # a 2-state cycle: the (lo + 1) × 2 layer matrix for lo = 2**47 needs
-    # 256 TiB, which is refused before any of the 2**47 forward steps
-    dfa = Dfa(2, Alphabet("a"), 0, frozenset({1}), [1, 0])
+    # a 2-state cycle: the witness buffer of lo = 2**47 letters needs
+    # 1 PiB of pointers, which is refused before the first backward layer
+    dfa = Dfa(2, Alphabet("a"), 0, b"\0\1", [1, 0])
     with pytest.raises(MemoryError):
         window_accepts(dfa, 2**47, 2**48)
 
@@ -393,9 +408,10 @@ def reference_window_accepts(dfa, lo, hi):
         return None
     n, k = dfa.state_count, len(dfa.alphabet)
     rows = [dfa.transitions[p * k : (p + 1) * k] for p in range(n)]
+    accepting = accepting_states(dfa.accepting)
     current = {dfa.start}
     for length in range(hi):
-        if length >= lo and not current.isdisjoint(dfa.accepting):
+        if length >= lo and not current.isdisjoint(accepting):
             break
         if not current:
             return None
@@ -406,7 +422,7 @@ def reference_window_accepts(dfa, lo, hi):
     for p in range(n):
         for q in rows[p]:
             predecessors[q].append(p)
-    backward = [set(dfa.accepting)]
+    backward = [accepting]
     for _ in range(length):
         backward.append({p for q in backward[-1] for p in predecessors[q]})
     state, out = dfa.start, []
@@ -427,7 +443,7 @@ def random_dfa(rng, max_states=30):
         n,
         alphabet,
         rng.randrange(n),
-        frozenset(q for q in range(n) if rng.random() < density),
+        acceptance_table({q for q in range(n) if rng.random() < density}, n),
         [rng.randrange(n) for _ in range(n * len(alphabet))],
     )
 
@@ -452,7 +468,8 @@ def cycles_dfa(lengths, alphabet):
         for i in range(size):
             transitions += [offset + (i + 1) % size] * k
         accepting.add(offset + size - 1)
-    return Dfa(len(transitions) // k, Alphabet(alphabet), 0, frozenset(accepting), transitions)
+    n = len(transitions) // k
+    return Dfa(n, Alphabet(alphabet), 0, acceptance_table(accepting, n), transitions)
 
 
 def test_window_accepts_matches_reference_when_period_exceeds_window():
@@ -465,15 +482,15 @@ def test_window_accepts_matches_reference_when_period_exceeds_window():
 
 def test_window_accepts_start_never_reaches_acceptance():
     # 0 loops on itself; only 1 and 2, which 0 never reaches, accept
-    dfa = Dfa(3, Alphabet("ab"), 0, frozenset({1, 2}), [0, 0, 2, 1, 1, 2])
+    dfa = Dfa(3, Alphabet("ab"), 0, b"\0\1\1", [0, 0, 2, 1, 1, 2])
     for lo, hi in [(0, 1), (0, 40), (5, 9), (30, 31)]:
         assert window_accepts(dfa, lo, hi) is None
         assert reference_window_accepts(dfa, lo, hi) is None
 
 
 def test_window_accepts_empty_alphabet():
-    accepting = Dfa(1, Alphabet(), 0, frozenset({0}), [])
-    rejecting = Dfa(2, Alphabet(), 0, frozenset({1}), [])
+    accepting = Dfa(1, Alphabet(), 0, b"\1", [])
+    rejecting = Dfa(2, Alphabet(), 0, b"\0\1", [])
     for dfa in (accepting, rejecting):
         for lo, hi in [(0, 1), (0, 5), (1, 5), (3, 3)]:
             assert window_accepts(dfa, lo, hi) == reference_window_accepts(dfa, lo, hi)
@@ -487,7 +504,7 @@ def test_window_accepts_long_window():
         7,
         Alphabet("ab"),
         0,
-        frozenset({6}),
+        b"\0\0\0\0\0\0\1",
         [q for p in range(7) for q in ((p + 1) % 7, (p + 2) % 7)],
     )
     started = time.perf_counter()
@@ -537,7 +554,8 @@ def brute_force_trim(dfa):
         if more == reachable:
             break
         reachable = more
-    coreachable = set(dfa.accepting)
+    accepting = accepting_states(dfa.accepting)
+    coreachable = set(accepting)
     while True:
         more = coreachable | {
             p for p in range(n) if any(q in coreachable for q in dfa.row(p))
@@ -555,7 +573,7 @@ def brute_force_trim(dfa):
             state = dfa.row(state)[symbols.index(ch)]
         if len(word) == n and state in coreachable:
             infinite = True
-        if state in dfa.accepting and (longest is None or len(word) > longest[0]):
+        if state in accepting and (longest is None or len(word) > longest[0]):
             longest = (len(word), word)
     return reachable & coreachable, infinite, None if infinite else longest
 
@@ -563,7 +581,7 @@ def brute_force_trim(dfa):
 def assert_trim_matches_brute_force(dfa):
     states, infinite, longest = brute_force_trim(dfa)
     view = trim_useful(dfa)
-    assert view.states == states
+    assert sorted(view.states) == sorted(states)
     assert (view.best is None) == infinite == is_infinite(dfa)
     if infinite:
         with pytest.raises(InfiniteLanguage):
@@ -579,23 +597,23 @@ def assert_trim_matches_brute_force(dfa):
     [
         # 2 accepts but is unreachable; 3 is a rejecting sink
         (
-            Dfa(4, Alphabet("a"), 0, frozenset({1, 2}), [1, 3, 1, 3]),
+            Dfa(4, Alphabet("a"), 0, b"\0\1\1\0", [1, 3, 1, 3]),
             {0, 1},
             False,
             (1, "a"),
         ),
         # b leads into the dead cycle 2 <-> 3, which never reaches acceptance
         (
-            Dfa(5, Alphabet("ab"), 0, frozenset({1}), [1, 2, 4, 4, 3, 3, 2, 2, 4, 4]),
+            Dfa(5, Alphabet("ab"), 0, b"\0\1\0\0\0", [1, 2, 4, 4, 3, 3, 2, 2, 4, 4]),
             {0, 1},
             False,
             (1, "a"),
         ),
         # an accepting self-loop: a*
-        (Dfa(2, Alphabet("ab"), 0, frozenset({0}), [0, 1, 1, 1]), {0}, True, None),
+        (Dfa(2, Alphabet("ab"), 0, b"\1\0", [0, 1, 1, 1]), {0}, True, None),
         # a rejecting self-loop before acceptance: a*b
         (
-            Dfa(3, Alphabet("ab"), 0, frozenset({1}), [0, 1, 2, 2, 2, 2]),
+            Dfa(3, Alphabet("ab"), 0, b"\0\1\0", [0, 1, 2, 2, 2, 2]),
             {0, 1},
             True,
             None,
@@ -606,7 +624,7 @@ def assert_trim_matches_brute_force(dfa):
                 6,
                 Alphabet("ab"),
                 0,
-                frozenset({4}),
+                b"\0\0\0\0\1\0",
                 [4, 1, 5, 2, 5, 3, 5, 4, 5, 5, 5, 5],
             ),
             {0, 1, 2, 3, 4},
@@ -614,7 +632,7 @@ def assert_trim_matches_brute_force(dfa):
             (4, "bbbb"),
         ),
         # nothing accepts
-        (Dfa(2, Alphabet("a"), 0, frozenset(), [1, 0]), set(), False, None),
+        (Dfa(2, Alphabet("a"), 0, b"\0\0", [1, 0]), set(), False, None),
     ],
 )
 def test_trim_hand_built(dfa, states, infinite, longest):
@@ -640,7 +658,7 @@ def random_forward_dfa(rng, max_states):
         n,
         alphabet,
         rng.choice([0, rng.randrange(n)]),
-        frozenset(q for q in range(n - 1) if rng.random() < 0.4),
+        acceptance_table({q for q in range(n - 1) if rng.random() < 0.4}, n),
         transitions,
     )
 
@@ -743,8 +761,8 @@ accepting 1
 def test_parse_nfa_roundtrip_language():
     nfa = parse_nfa(NFA_TEXT)
     assert nfa.state_count == 2
-    assert nfa.initial == {0}
-    assert nfa.accepting == {1}
+    assert nfa.initial == 0b1
+    assert nfa.accepting == 0b10
     for word in words_up_to("ab", 5):
         expected = set(word[:-1]) <= {"a"} and word.endswith("b")
         assert nfa_accepts(nfa, word) == expected
@@ -769,7 +787,7 @@ def test_parse_nfa_errors(text):
 def test_nfa_range_check_allocates_nothing_per_state():
     tracemalloc.start()
     try:
-        Nfa(10**6, Alphabet(), {0}, {0}, [])
+        Nfa(10**6, Alphabet(), 1, 1, [])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -792,23 +810,46 @@ def test_nfa_range_check_allocates_nothing_per_state():
 def test_nfa_rejects_bad_states_and_symbols(
     initial, accepting, transitions, message
 ):
+    initial, accepting = (sum(1 << q for q in ids) for ids in (initial, accepting))
     with pytest.raises(ValueError, match=message):
-        Nfa(2, Alphabet("ab"), frozenset(initial), frozenset(accepting), transitions)
+        Nfa(2, Alphabet("ab"), initial, accepting, transitions)
+
+
+@pytest.mark.parametrize(
+    "initial, accepting", [(0b1, 1 << 70), (-1, 0b10), (0b1, -2), (-1, -1)]
+)
+def test_nfa_rejects_initial_and_accepting_masks_out_of_range(initial, accepting):
+    # a bit >= |Q|, or a negative mask, whose bits run on without end
+    with pytest.raises(ValueError, match="initial/accepting state out of range"):
+        Nfa(2, Alphabet("ab"), initial, accepting, [0, 0, 0, 0])
 
 
 @pytest.mark.parametrize(
     "start, accepting, transitions, message",
     [
-        (0, {1}, [0, 1, 1], "transition table length"),
-        (0, {1}, [0, 1, 1, 0, 0], "transition table length"),
-        (2, {1}, [0, 1, 1, 0], "start/accepting state out of range"),
-        (-1, {1}, [0, 1, 1, 0], "start/accepting state out of range"),
-        (0, {2}, [0, 1, 1, 0], "start/accepting state out of range"),
+        (0, [0, 1], [0, 1, 1], "transition table length"),
+        (0, [0, 1], [0, 1, 1, 0, 0], "transition table length"),
+        (2, [0, 1], [0, 1, 1, 0], "start/accepting state out of range"),
+        (-1, [0, 1], [0, 1, 1, 0], "start/accepting state out of range"),
+        # a table of |Q| + 1 bytes that marks state 2, and one of |Q| - 1
+        (0, [0, 0, 1], [0, 1, 1, 0], "start/accepting state out of range"),
+        (0, [1], [0, 1, 1, 0], "start/accepting state out of range"),
+        # a byte other than 0 and 1
+        (0, [0, 2], [0, 1, 1, 0], "accepting table is not bytes of 0 or 1"),
+        # a target >= |Q|, and a negative one, which would index from the end
+        (0, [0, 1], [0, 2, 1, 0], "transition state out of range"),
+        (0, [0, 1], [0, -1, 1, 0], "transition state out of range"),
     ],
 )
 def test_dfa_rejects_bad_table_and_states(start, accepting, transitions, message):
     with pytest.raises(ValueError, match=message):
-        Dfa(2, Alphabet("ab"), start, frozenset(accepting), transitions)
+        Dfa(2, Alphabet("ab"), start, bytes(accepting), transitions)
+
+
+def test_dfa_rejects_accepting_states_not_given_as_bytes():
+    for accepting in (frozenset({1}), [0, 1], bytearray(b"\0\1")):
+        with pytest.raises(ValueError, match="accepting table is not bytes"):
+            Dfa(2, Alphabet("ab"), 0, accepting, [0, 1, 1, 0])
 
 
 def test_star_closure_rejects_spurious_words():
