@@ -279,7 +279,7 @@ def parse_nfa(text: str) -> Nfa:
             if tokens[0] != keyword:
                 raise NfaFormatError(f"expected '{keyword}' line", lineno)
             if keyword == "states":
-                if len(tokens) != 2 or not tokens[1].isdigit():
+                if len(tokens) != 2 or not tokens[1].isdecimal():
                     raise NfaFormatError("expected 'states N'", lineno)
                 state_count = int(tokens[1])
                 if state_count < 1:

@@ -15,7 +15,10 @@ stay byte-identical.  Exit codes: 0 success, 2 input error, 3 semantic
 error (alphabet mismatch, gcd), 4 budget exceeded (the oracle's word
 enumeration or matcher stack, or the numeric solver's residue table of
 min(xs) entries; STAR_FROBENIUS_BUDGET sets the size limit) or out of
-memory, 1 internal failure or selftest property violation.
+memory, 1 internal failure, selftest property violation or standard
+output closed early.  ``oracle`` takes regex input only; ``decide`` also
+reads an NFA description (``--nfa``).  ``--alphabet`` goes to the library
+as declared, and the echoed alphabet is the effective one it chose.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import os
 import sys
 import time
 
-from .automata import Nfa, parse_nfa
+from .automata import parse_nfa
 from .errors import DEFAULT_BUDGET, BudgetExceeded, InputError, SemanticError
 from .frobenius import (
     CofiniteResult,
@@ -36,15 +39,7 @@ from .frobenius import (
 )
 from .oracle import bruteforce_cofinite
 from .reduction import cnf_to_regex, parse_dimacs, sat_bruteforce
-from .regex import (
-    Alphabet,
-    RegexAst,
-    alphabet_of,
-    format_regex,
-    parse_regex,
-    resolve_alphabet,
-    symbol_length,
-)
+from .regex import Alphabet, RegexAst, format_regex, parse_regex, symbol_length
 from .selftest import run_selftest
 
 BUDGET_ENV_VAR = "STAR_FROBENIUS_BUDGET"
@@ -65,17 +60,8 @@ def _parse_alphabet(text: str | None) -> Alphabet | None:
     return None if text is None else Alphabet(text)
 
 
-def _load_input(args) -> tuple[RegexAst | Nfa, dict]:
-    text = _read_source(args)
-    if args.nfa:
-        nfa = parse_nfa(text)
-        echo = {
-            "form": "nfa",
-            "nfa_states": nfa.state_count,
-            "alphabet": "".join(nfa.alphabet),
-        }
-        return nfa, echo
-    ast = parse_regex(text)
+def _load_regex(args) -> tuple[RegexAst, dict]:
+    ast = parse_regex(_read_source(args))
     return ast, {"form": "regex", "regex": format_regex(ast)}
 
 
@@ -95,7 +81,11 @@ def _decide_body(result: CofiniteResult) -> dict:
 
 
 def cmd_decide(args) -> tuple[dict, dict, int]:
-    source, echo = _load_input(args)
+    if args.nfa:
+        source = parse_nfa(_read_source(args))
+        echo = {"form": "nfa", "nfa_states": source.state_count}
+    else:
+        source, echo = _load_regex(args)
     result = decide_cofinite(source, _parse_alphabet(args.alphabet))
     echo["alphabet"] = "".join(result.alphabet)
     return echo, _decide_body(result), 0
@@ -161,16 +151,13 @@ def cmd_numeric(args) -> tuple[dict, dict, int]:
 
 
 def cmd_oracle(args) -> tuple[dict, dict, int]:
-    source, echo = _load_input(args)
-    if isinstance(source, Nfa):
-        raise ValueError("the oracle command takes a regex, not an NFA")
-    alphabet = resolve_alphabet(alphabet_of(source), _parse_alphabet(args.alphabet))
+    ast, echo = _load_regex(args)
     report = bruteforce_cofinite(
-        source, alphabet, args.horizon, args.bound, budget=_budget()
+        ast, _parse_alphabet(args.alphabet), args.horizon, args.bound, budget=_budget()
     )
     echo.update(
         {
-            "alphabet": "".join(alphabet),
+            "alphabet": "".join(report.alphabet),
             "horizon": args.horizon,
             "bound": args.bound,
         }
@@ -232,8 +219,6 @@ def _render_text(value, indent: str = "") -> list[str]:
                 lines.extend(_render_text(inner, indent + "  "))
             else:
                 lines.append(f"{indent}- {json.dumps(inner)}")
-    else:
-        lines.append(f"{indent}{json.dumps(value)}")
     return lines
 
 
@@ -250,6 +235,7 @@ def _emit(command: str, echo: dict, body: dict, args, elapsed_ms: int) -> None:
         print(json.dumps(envelope, sort_keys=True, indent=2))
     else:
         print("\n".join(_render_text(envelope)))
+    sys.stdout.flush()
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -269,11 +255,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _add_regex_input(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("pattern", nargs="?", help="inline regex text")
     parser.add_argument("-f", "--file", help="read the input from a file")
-    parser.add_argument(
-        "--nfa",
-        action="store_true",
-        help="treat the input as an NFA description instead of a regex",
-    )
     parser.add_argument("--alphabet", help="declared alphabet, e.g. 'ab'")
 
 
@@ -289,6 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", help="run the co-finiteness decision")
     _add_regex_input(p)
+    p.add_argument(
+        "--nfa",
+        action="store_true",
+        help="treat the input as an NFA description instead of a regex",
+    )
     _add_common(p)
     p.set_defaults(handler=cmd_decide)
 
@@ -360,7 +346,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 4
     elapsed_ms = int((time.perf_counter() - started) * 1000)
-    _emit(args.command, echo, body, args, elapsed_ms)
+    try:
+        _emit(args.command, echo, body, args, elapsed_ms)
+    except BrokenPipeError:
+        # Standard output was closed early (`... | head -1`).  Point it at
+        # devnull so that the flush at interpreter exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

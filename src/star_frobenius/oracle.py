@@ -9,7 +9,7 @@ bug rather than a shared one.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DEFAULT_BUDGET, BudgetExceeded
 from .regex import (
@@ -21,7 +21,9 @@ from .regex import (
     Star,
     Symbol,
     Union,
+    alphabet_of,
     fold,
+    resolve_alphabet,
 )
 
 # Interpreter stack levels the recursive matcher spends per tree level: a
@@ -147,17 +149,20 @@ class OracleReport:
 
     ``verdict`` is present only when the report is conclusive, i.e. a sound
     window bound b was supplied and the horizon covers [b, 2b).
+    ``alphabet`` is the effective alphabet the words were drawn from; it
+    echoes the input, so reports compare equal without it.
     """
 
     horizon: int
     missing: tuple[MissingRow, ...]
     conclusive: bool
     verdict: OracleVerdict | None
+    alphabet: Alphabet | None = field(default=None, compare=False)
 
 
 def bruteforce_cofinite(
     ast: RegexAst,
-    alphabet: Alphabet,
+    alphabet: Alphabet | None,
     horizon: int,
     conclusive_bound: int | None = None,
     *,
@@ -165,6 +170,10 @@ def bruteforce_cofinite(
 ) -> OracleReport:
     """Enumerate every word of length <= horizon and classify it against
     (L(ast))*.
+
+    Words are drawn from the effective alphabet, by decide_cofinite's rule:
+    the symbols of ``ast``, widened by ``alphabet`` (None for none); a
+    declared one missing a used symbol raises AlphabetMismatch at any horizon.
 
     With a sound ``conclusive_bound`` b (at least the trimmed size of the
     complement DFA, or any over-approximation of it) and horizon >= 2b - 1,
@@ -176,6 +185,7 @@ def bruteforce_cofinite(
     the tree is too deep, or the horizon too long, for the recursive
     matcher and the word-tree walk to fit the interpreter's stack.
     """
+    alphabet = resolve_alphabet(alphabet_of(ast), alphabet)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if not alphabet:
@@ -263,4 +273,5 @@ def bruteforce_cofinite(
         missing=tuple(rows),
         conclusive=conclusive,
         verdict=verdict,
+        alphabet=alphabet,
     )

@@ -758,6 +758,17 @@ accepting 1
 """
 
 
+def test_dfa_accepts_rejects_a_letter_outside_the_alphabet():
+    dfa = subset_construct(glushkov_star(parse_regex("a")), None)
+    assert dfa_accepts(dfa, "aa")
+    assert not dfa_accepts(dfa, "ab")
+
+
+def test_reachability_matrix_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        ReachabilityMatrix.identity(2).multiply(ReachabilityMatrix.identity(3))
+
+
 def test_parse_nfa_roundtrip_language():
     nfa = parse_nfa(NFA_TEXT)
     assert nfa.state_count == 2
@@ -777,6 +788,11 @@ def test_parse_nfa_roundtrip_language():
         "alphabet ab\nstates 2\ninitial 0\naccepting 1\n",
         "states 2\nalphabet ab\ninitial 0\n",
         "states 0\nalphabet ab\ninitial\naccepting\n",
+        "states 2\nalphabet ab\ninitial 0\naccepting 1\n0 a x\n",
+        "states 2\nalphabet ab cd\ninitial 0\naccepting 1\n",
+        "states 2\nalphabet a+\ninitial 0\naccepting 1\n",
+        "states 2 3\nalphabet ab\ninitial 0\naccepting 1\n",
+        "states \u00b2\nalphabet a\ninitial 0\naccepting 0\n",
     ],
 )
 def test_parse_nfa_errors(text):

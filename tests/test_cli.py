@@ -393,6 +393,66 @@ def test_oracle_alphabet_mismatch_exit_3(capsys):
     assert "declared alphabet is missing 'b'" in err
 
 
+@pytest.mark.parametrize(
+    "argv, exit_code, message",
+    [
+        (["ab", "--alphabet", "a", "--horizon", "0"], 3, "missing 'b'"),
+        (["ε", "--horizon", "3"], 2, "alphabet must be non-empty"),
+        (["a", "--horizon", "0"], 2, "horizon must be >= 1"),
+    ],
+)
+def test_oracle_error_exits(capsys, argv, exit_code, message):
+    code, out, err = run(capsys, ["oracle", *argv])
+    assert (code, out) == (exit_code, "")
+    assert message in err
+
+
+def test_oracle_takes_regex_input_only(capsys, tmp_path):
+    path = tmp_path / "machine.nfa"
+    path.write_text(GOLDEN_NFA, encoding="utf-8")
+    with pytest.raises(SystemExit) as info:
+        main(["oracle", "--nfa", "-f", str(path), "--horizon", "3"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --nfa" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["oracle", "--help"])
+    assert info.value.code == 0
+    assert "--nfa" not in capsys.readouterr().out
+
+
+def test_inline_and_file_input_together_exit_2(capsys, tmp_path):
+    path = tmp_path / "regex.txt"
+    path.write_text("aa", encoding="utf-8")
+    code, out, err = run(capsys, ["decide", "a", "-f", str(path)])
+    assert (code, out) == (2, "")
+    assert "not both" in err
+
+
+def test_reduce_reads_standard_input(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "golden.cnf"
+    path.write_text(GOLDEN_DIMACS, encoding="utf-8")
+    from_file = run(capsys, ["reduce", str(path)])
+    monkeypatch.setattr(sys, "stdin", io.StringIO(GOLDEN_DIMACS))
+    assert run(capsys, ["reduce", "-"]) == from_file
+    assert from_file[0] == 0
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # reduce - waits for its input, so the read end of its stdout is closed
+    # before it prints
+    env = dict(os.environ, PYTHONPATH=str(Path(star_frobenius.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "star_frobenius.cli", "reduce", "-"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(GOLDEN_DIMACS.encode(), timeout=60)
+    assert (proc.returncode, err) == (1, b"")
+
+
 def test_decide_deep_literal(capsys):
     code, env = run_json(capsys, ["decide", "ab" * 1500])
     assert code == 0

@@ -266,6 +266,11 @@ def test_length_spectrum_examples():
     assert length_spectrum(parse_regex("a*"), 4) == ({0, 1, 2, 3, 4}, 1)
 
 
+def test_length_spectrum_needs_a_positive_horizon():
+    with pytest.raises(ValueError, match="horizon"):
+        length_spectrum(parse_regex("a"), 0)
+
+
 def _minimal_generators(lengths):
     generators = []
     representable = {0}

@@ -6,9 +6,13 @@ import pytest
 from conftest import words_up_to
 from star_frobenius import (
     Alphabet,
+    AlphabetMismatch,
     BudgetExceeded,
+    alphabet_of,
     bruteforce_cofinite,
+    decide_cofinite,
     dfa_accepts,
+    frobenius_of_finite_set,
     glushkov,
     glushkov_star,
     member_star_dp,
@@ -17,6 +21,7 @@ from star_frobenius import (
     subset_construct,
 )
 from star_frobenius.oracle import Matcher, _star_reachable
+from star_frobenius.regex import resolve_alphabet
 from star_frobenius.selftest import random_regex
 
 
@@ -130,3 +135,72 @@ def test_preconditions():
         bruteforce_cofinite(parse_regex("ε"), Alphabet(""), 3)
     with pytest.raises(ValueError):
         bruteforce_cofinite(parse_regex("a"), Alphabet("a"), 3, -1)
+
+
+def test_declared_alphabet_missing_a_letter_beats_the_horizon_check():
+    for horizon in (0, 3):
+        with pytest.raises(AlphabetMismatch, match="missing 'b'"):
+            bruteforce_cofinite(parse_regex("ab"), Alphabet("a"), horizon)
+
+
+def test_inferred_alphabet():
+    for text in ("aa+aaa", "(a+b)*b", "ab+ba+c"):
+        ast = parse_regex(text)
+        report = bruteforce_cofinite(ast, None, 5, 3)
+        assert report == bruteforce_cofinite(ast, alphabet_of(ast), 5, 3)
+        assert report.alphabet == alphabet_of(ast)
+    widened = bruteforce_cofinite(parse_regex("a*"), Alphabet("ab"), 2)
+    assert widened.alphabet == Alphabet("ab")
+    assert [(r.length, r.count, r.smallest) for r in widened.missing] == [
+        (1, 1, "b"),
+        (2, 3, "ab"),
+    ]
+
+
+def entry_points(ast, words):
+    """Every library function that chooses an alphabet, keyed by name, as
+    (the letters its input uses, declared alphabet -> effective alphabet)."""
+    nfa = glushkov(ast)
+    used = alphabet_of(ast)
+    return {
+        "decide_cofinite": (used, lambda d: decide_cofinite(ast, d).alphabet),
+        "decide_cofinite(nfa)": (used, lambda d: decide_cofinite(nfa, d).alphabet),
+        "frobenius_of_finite_set": (
+            Alphabet(set("".join(words))),
+            lambda d: frobenius_of_finite_set(words, d).alphabet,
+        ),
+        "bruteforce_cofinite": (
+            used,
+            lambda d: bruteforce_cofinite(ast, d, 2).alphabet,
+        ),
+        "glushkov": (used, lambda d: glushkov(ast, d).alphabet),
+        "subset_construct": (used, lambda d: subset_construct(nfa, d).alphabet),
+    }
+
+
+def test_one_alphabet_rule_in_every_entry_point():
+    # declared alphabets: None, and random subsets of "abcd", so subsets,
+    # supersets and neither of the letters used all occur
+    rng = random.Random(2021)
+    outcomes = set()
+    for _ in range(120):
+        letters = rng.choice(("a", "ab", "abc"))
+        ast = random_regex(rng, letters, 5)
+        words = [
+            "".join(rng.choices(letters, k=rng.randint(0, 3)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        declared = None
+        if rng.random() < 0.85:
+            declared = Alphabet(rng.sample("abcd", rng.randint(0, 4)))
+        for name, (used, effective) in entry_points(ast, words).items():
+            if declared is not None and not set(used) <= set(declared):
+                with pytest.raises(AlphabetMismatch):
+                    effective(declared)
+                outcomes.add("mismatch")
+            else:
+                expected = used if declared is None else declared
+                assert expected == resolve_alphabet(used, declared)
+                assert effective(declared) == expected, (name, ast, declared)
+                outcomes.add("inferred" if declared is None else "widened")
+    assert outcomes == {"mismatch", "inferred", "widened"}

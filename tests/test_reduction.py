@@ -63,6 +63,7 @@ def test_parse_dimacs_tautology():
         "p cnf 3 1\n1 -2 3\n",
         "p cnf 3 1\n1 -2 three 0\n",
         "p cnf 0 0\n",
+        "",
     ],
 )
 def test_parse_dimacs_format_errors(text):
@@ -143,6 +144,11 @@ def test_cnf_instance_validation():
         CnfInstance(2, ((1, 2, 5),))
     with pytest.raises(ValueError):
         CnfInstance(1, ())
+
+
+def test_cnf_instance_needs_a_variable():
+    with pytest.raises(ValueError, match="at least one variable"):
+        CnfInstance(0, ((1, 2, 3),))
 
 
 def test_reduction_equivalence_boundary_instances():

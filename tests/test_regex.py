@@ -67,6 +67,7 @@ def test_unbalanced_parens_position():
         ("*a", 0),
         ("()", 1),
         ("a)", 1),
+        ("a\x00", 1),
     ],
 )
 def test_syntax_errors(text, position):
