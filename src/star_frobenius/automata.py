@@ -15,7 +15,11 @@ p's slice.  An NFA entry is the bitmask of the states reached, so letter
 i's rows are the slice ``transitions[i::|Σ|]``, and its initial and
 accepting sets are bitmasks too.  A DFA entry is the id of the one state
 reached, and its accepting set is one 0/1 byte per state, the form of the
-window's backward layers.  Every step after subset construction reads the
+window's backward layers.  Subset construction renumbers the NFA's
+reachable states breadth-first, privately, and reads each subset in 64-bit
+chunks: one lookup per chunk, in per-position tables of chunk unions that
+are filled on first use, or one lookup of the whole subset when the
+states fit in one chunk.  Every step after subset construction reads the
 DFA's list.  One backward sweep over the trim's predecessor lists gives
 the cycle test and best[], the longest accepted length from each useful
 state.  The longest witness is read off best[] greedily and the window
@@ -27,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
-from operator import itemgetter, or_
+from operator import itemgetter, ne, or_
+from struct import Struct
 
 from .errors import InfiniteLanguage, NfaFormatError, UnknownSymbol
 from .regex import (
@@ -45,11 +50,13 @@ from .regex import (
 
 
 def _members(mask: int):
-    """The state ids in a bitmask, lowest first, in time linear in its bits."""
-    bits = bin(mask)[:1:-1]  # bit q is character q
+    """The state ids in a bitmask, lowest first, in time linear in the span
+    from its lowest member to its highest."""
+    low = (mask & -mask).bit_length() - 1  # the lowest member, -1 for 0
+    bits = bin(mask >> low)[:1:-1] if mask else ""  # bit q is character q
     q = bits.find("1")
     while q >= 0:
-        yield q
+        yield low + q
         q = bits.find("1", q + 1)
 
 
@@ -253,11 +260,11 @@ def parse_nfa(text: str) -> Nfa:
     stage = 0
 
     def state_id(tok: str, lineno: int) -> int:
-        try:
-            value = int(tok)
-        except ValueError:
+        # ASCII digits only: int() also takes signs, "_" and other scripts' digits
+        if not (tok.isascii() and tok.isdecimal()):
             raise NfaFormatError(f"expected a state id, got {tok!r}", lineno)
-        if not 0 <= value < state_count:
+        value = int(tok)
+        if value >= state_count:
             raise NfaFormatError(f"state id {value} out of range", lineno)
         return value
 
@@ -279,9 +286,10 @@ def parse_nfa(text: str) -> Nfa:
             if tokens[0] != keyword:
                 raise NfaFormatError(f"expected '{keyword}' line", lineno)
             if keyword == "states":
-                if len(tokens) != 2 or not tokens[1].isdecimal():
+                count = tokens[1] if len(tokens) == 2 else ""
+                if not (count.isascii() and count.isdecimal()):
                     raise NfaFormatError("expected 'states N'", lineno)
-                state_count = int(tokens[1])
+                state_count = int(count)
                 if state_count < 1:
                     raise NfaFormatError("state count must be >= 1", lineno)
             elif keyword == "alphabet":
@@ -317,6 +325,61 @@ def parse_nfa(text: str) -> Nfa:
     return Nfa(state_count, alphabet, initial, accepting, table)
 
 
+class _Unions(dict):
+    """A table from a state set of at most 64 states to the union of its
+    members' rows, filled on first use; bit b of a key stands for state
+    ``base + b``.  A key of more than eight members is read a byte at a
+    time, in eight tables of the same kind made on the first such miss, so
+    a miss costs at most eight lookups, not a step per member, and the
+    byte values recur."""
+
+    __slots__ = ("rows", "base", "byte_tables")
+
+    def __init__(self, rows, base: int):
+        super().__init__({0: 0})
+        self.rows = rows
+        self.base = base
+        self.byte_tables = None
+
+    def __missing__(self, value: int) -> int:
+        if value.bit_count() > 8:
+            tables = self.byte_tables
+            if tables is None:
+                tables = self.byte_tables = [
+                    _Unions(self.rows, self.base + b) for b in range(0, 64, 8)
+                ]
+            union, i = 0, 0
+            for byte in value.to_bytes(8, "little"):
+                if byte:
+                    union |= tables[i][byte]
+                i += 1
+        else:
+            union, rows, first, bits = 0, self.rows, self.base - 1, value
+            while bits:
+                lowest = bits & -bits
+                union |= rows[first + lowest.bit_length()]
+                bits ^= lowest
+        self[value] = union
+        return union
+
+
+def _breadth_first(nfa: Nfa) -> tuple[list[int], int]:
+    """The states reachable from the initial set, by distance from it and
+    by id within one distance, and their bitmask."""
+    k, table = len(nfa.alphabet.symbols), nfa.transitions
+    order: list[int] = []
+    seen = frontier = nfa.initial
+    while frontier:
+        layer = list(_members(frontier))
+        order += layer
+        reached = 0
+        for p in layer:
+            reached = reduce(or_, table[p * k : p * k + k], reached)
+        frontier = (reached | seen) ^ seen
+        seen |= reached
+    return order, seen
+
+
 def subset_construct(nfa: Nfa, alphabet: Alphabet | None) -> Dfa:
     """Determinize over ``alphabet`` into a complete DFA.
 
@@ -326,65 +389,95 @@ def subset_construct(nfa: Nfa, alphabet: Alphabet | None) -> Dfa:
     the sink when some symbol leads nowhere.  State ids follow breadth-first
     discovery order, so the construction is deterministic.
 
-    Subsets are bitmasks.  Walking the alphabet in order, a letter joins the
-    previous letter group when the states it enters are disjoint from those
-    the group enters; then δ(S, a) = succ_g(S) & enters(a), where succ_g(S)
-    is the union of the group's rows over S.  A position automaton is
-    homogeneous (every edge into q reads q's letter), so it forms one group
-    and each subset needs one union.  The union is read a byte of S at a
-    time from a per-group table whose entries are filled on first use.
+    Subsets are bitmasks.  An NFA of more than 64 states is first renumbered
+    breadth-first from its initial set: unreachable states are dropped, and
+    states at one distance from the start get adjacent ids, so that the
+    subsets' 64-bit slices recur.  Each DFA state is the same subset under
+    the private ids, found in the same order, so the DFA does not change.
+    The ids stay as they are when that order is already the identity, or
+    when the rows hold more than 64 members on average (renaming them would
+    cost more than it saves).
+
+    Walking the alphabet in order, a letter joins the previous letter group
+    when the states it enters are disjoint from those the group enters; then
+    δ(S, a) = succ_g(S) & enters(a), where succ_g(S) is the union of the
+    group's rows over S.  A position automaton is homogeneous (every edge
+    into q reads q's letter), so it forms one group and each subset needs
+    one union.  S is read in little-endian 64-bit chunks, from its lowest
+    member's chunk to its highest one's; each chunk position has a table
+    from a chunk value to the union of its members' rows, filled on first
+    use, and succ_g(S) is the OR of one lookup per chunk.  When the states
+    fit in one chunk, S is looked up whole.
     """
     alphabet = resolve_alphabet(nfa.alphabet, alphabet)
     k = len(nfa.alphabet.symbols)
-    own = {a: nfa.transitions[i::k] for i, a in enumerate(nfa.alphabet.symbols)}
+    n, initial, accepting, table = (
+        nfa.state_count, nfa.initial, nfa.accepting, nfa.transitions
+    )
+    if n > 64:
+        order, reachable = _breadth_first(nfa)
+        if len(order) < n or any(map(ne, order, range(n))):
+            reached = [row for p in order for row in table[p * k : p * k + k]]
+            # Renaming takes a step per member of each distinct row: rows of
+            # more than 64 members on average keep their ids.
+            if sum(map(int.bit_count, reached)) <= 64 * len(reached):
+                new_id = dict(zip(order, range(n))).__getitem__
 
+                def rename(mask: int) -> int:
+                    return sum(map((1).__lshift__, map(new_id, _members(mask))))
+
+                # Equal rows are renamed once.  Keys carry the width, as an
+                # int's hash is its value mod 2**61 - 1: the rows {p} alone
+                # would share 61 hash values.
+                keys = [(row.bit_length(), row) for row in reached]
+                renamed = {key: rename(key[1]) for key in set(keys)}
+                table = list(map(renamed.__getitem__, keys))
+                initial = rename(initial)
+                accepting = rename(accepting & reachable)
+                n = len(order)
+    own = {a: table[i::k] for i, a in enumerate(nfa.alphabet.symbols)}
     # A letter the NFA lacks leads nowhere.  Each list is a new one, since a
     # group ORs its later letters' rows into its first letter's list.
-    n = nfa.state_count
     rows = [own.get(a) or [0] * n for a in alphabet.symbols]
 
-    # A group is (its rows, its byte table, the enters set of each letter).
-    # Table entry (c << 8) | b is the union of the rows of byte c's members
-    # when that byte of a subset reads b.
-    table_size = (n + 7) >> 3 << 8
+    # A group is (one union table per chunk position, the enters set of
+    # each letter).
+    chunk_count = max(1, (n + 63) >> 6)
     groups = []
     group_enters = 0
     for letter_rows in rows:
-        entered = reduce(or_, letter_rows)  # the states the letter leads into
+        entered = reduce(or_, letter_rows, 0)  # the states the letter leads into
         if groups and not entered & group_enters:
-            group_rows, _, enters = groups[-1]
             group_rows[:] = map(or_, group_rows, letter_rows)
             group_enters |= entered
         else:
-            enters = []
-            groups.append((letter_rows, [None] * table_size, enters))
+            group_rows, enters = letter_rows, []
+            tables = [_Unions(group_rows, c << 6) for c in range(chunk_count)]
+            groups.append((tables, enters))
             group_enters = entered
         enters.append(entered)
 
-    id_of = {nfa.initial: 0}
-    masks = [nfa.initial]
+    wide = chunk_count > 1
+    if wide:  # "<" reads little-endian whatever the machine's byte order
+        unpackers = [Struct(f"<{c}Q").unpack for c in range(chunk_count + 1)]
+    id_of = {initial: 0}
+    masks = [initial]
     transitions: list[int] = []
     for mask in masks:  # the list doubles as the BFS queue
-        # Only the bytes from the lowest to the highest member are read;
-        # mask ^ (mask - 1) keeps the lowest member and the bits below it.
-        low = (mask ^ (mask - 1)).bit_length() - 1 >> 3
-        span = mask >> (low << 3)
-        data = span.to_bytes((span.bit_length() + 7) >> 3, "little")
-        for group_rows, table, enters in groups:
-            succ = 0
-            key = low << 8
-            for byte in data:
-                if byte:
-                    union = table[key | byte]
-                    if union is None:  # first use: OR the byte's rows
-                        union, bits, first = 0, byte, key >> 5
-                        while bits:
-                            lowest = bits & -bits
-                            union |= group_rows[first + lowest.bit_length() - 1]
-                            bits ^= lowest
-                        table[key | byte] = union
-                    succ |= union
-                key += 256
+        if wide:
+            # mask ^ (mask - 1) keeps the lowest member and the bits below it
+            low = (mask ^ (mask - 1)).bit_length() - 1 >> 6
+            span = mask >> (low << 6)
+            count = (span.bit_length() + 63) >> 6
+            values = unpackers[count](span.to_bytes(count << 3, "little"))
+        for tables, enters in groups:
+            if wide:
+                succ, c = 0, low
+                for value in values:
+                    succ |= tables[c][value]
+                    c += 1
+            else:
+                succ = tables[0][mask]
             for entered in enters:
                 nxt = succ & entered
                 target = id_of.get(nxt)
@@ -393,7 +486,7 @@ def subset_construct(nfa: Nfa, alphabet: Alphabet | None) -> Dfa:
                     masks.append(nxt)
                 transitions.append(target)
 
-    accepting = bytes(mask & nfa.accepting != 0 for mask in masks)
+    accepting = bytes(mask & accepting != 0 for mask in masks)
     return Dfa(len(masks), alphabet, 0, accepting, transitions)
 
 

@@ -80,18 +80,19 @@ def parse_dimacs(text: str) -> CnfInstance:
             fields = line.split()
             if len(fields) != 4 or fields[1] != "cnf":
                 raise FormatError(f"line {lineno}: expected 'p cnf n m'")
-            try:
-                header = (int(fields[2]), int(fields[3]))
-            except ValueError:
+            if not all(f.isascii() and f.isdecimal() for f in fields[2:]):
                 raise FormatError(f"line {lineno}: expected 'p cnf n m'")
+            header = (int(fields[2]), int(fields[3]))
             continue
         if header is None:
             raise FormatError(f"line {lineno}: clause before 'p cnf' header")
         for tok in line.split():
-            try:
-                numbers.append(int(tok))
-            except ValueError:
+            # an optional "-" and ASCII digits: int() also takes "+", "_" and
+            # other scripts' digits
+            digits = tok[1:] if tok.startswith("-") else tok
+            if not (digits.isascii() and digits.isdecimal()):
                 raise FormatError(f"line {lineno}: bad token {tok!r}")
+            numbers.append(int(tok))
 
     if header is None:
         raise FormatError("missing 'p cnf n m' header")

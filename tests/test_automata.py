@@ -24,6 +24,7 @@ from star_frobenius import (
     ReachabilityMatrix,
     UnknownSymbol,
     bruteforce_cofinite,
+    cnf_to_regex,
     complement,
     decide_cofinite,
     dfa_accepts,
@@ -46,7 +47,7 @@ from star_frobenius import (
     words_to_regex,
 )
 from star_frobenius.oracle import Matcher, _star_reachable
-from star_frobenius.selftest import random_regex
+from star_frobenius.selftest import random_cnf, random_regex
 
 SIGMA34 = words_to_regex(
     [w for w in words_up_to("FT", 4) if len(w) in (3, 4)]
@@ -281,6 +282,111 @@ def test_subset_construct_named_cases(nfa, alphabet):
 def test_subset_construct_long_literal():
     dfa = assert_same_dfa(glushkov_star(parse_regex("ab" * 1500)), Alphabet("ab"))
     assert dfa.state_count == 3002
+
+
+def scattered_nfa(rng):
+    """A position automaton of 64-280 states under shuffled ids, beside up
+    to 40 states that no initial state reaches, started from position 0
+    and up to three other positions.  Its subsets span several 64-bit
+    chunks, in any order of ids."""
+    letters = rng.choice(["ab", "abc"])
+    ast = random_regex(rng, letters, 8)
+    target = rng.randint(64, 280)
+    while symbol_length(ast) < target:
+        ast = rng.choice([Concat, Union])(ast, random_regex(rng, letters, 8))
+    base = glushkov(ast)
+    m, k = base.state_count, len(base.alphabet)
+    n = m + rng.randint(0, 40)
+    ids = rng.sample(range(n), n)
+
+    def move(mask):
+        return sum(1 << ids[q] for q in range(m) if mask >> q & 1)
+
+    table = [0] * (n * k)
+    for p in range(n):
+        for i in range(k):
+            if p < m:
+                targets = move(base.transitions[p * k + i])
+            else:  # unreachable, with edges into the reachable part too
+                targets = 1 << ids[rng.randrange(n)] | 1 << ids[rng.randrange(n)]
+            table[ids[p] * k + i] = targets
+    starts = 1 | sum(1 << rng.randrange(m) for _ in range(rng.randint(0, 3)))
+    hidden_accepting = sum(1 << ids[q] for q in range(m, n) if rng.random() < 0.5)
+    return Nfa(n, base.alphabet, move(starts), move(base.accepting) | hidden_accepting, table)
+
+
+def reachable_count(nfa):
+    seen = frontier = nfa.initial
+    while frontier:
+        reached = 0
+        for i in range(len(nfa.alphabet)):
+            reached |= nfa.image(frontier, i)
+        frontier = reached & ~seen
+        seen |= reached
+    return seen.bit_count()
+
+
+def test_subset_construct_matches_reference_across_chunks():
+    rng = random.Random(59)
+    wide = 0
+    for _ in range(40):
+        nfa = scattered_nfa(rng)
+        wide += reachable_count(nfa) > 64
+        for automaton in (nfa, star_closure(nfa)):
+            assert_same_dfa(automaton, automaton.alphabet)
+            # d (and c for two-letter automata) enters no state
+            assert_same_dfa(automaton, Alphabet("abcd"))
+    assert wide >= 30
+
+
+def test_subset_construct_matches_reference_on_reductions():
+    rng = random.Random(61)
+    sizes = []
+    for _ in range(12):
+        nfa = glushkov_star(cnf_to_regex(random_cnf(rng, 5, 24, min_vars=4)))
+        sizes.append(nfa.state_count)
+        assert_same_dfa(nfa, nfa.alphabet)
+    assert max(sizes) > 128
+
+
+def dense_nfa(n, reachable, seed):
+    """Rows of about half of the first ``reachable`` states each, from
+    state 3; the states from ``reachable`` on are unreachable."""
+    rng = random.Random(seed)
+    rows = [rng.getrandbits(reachable) for _ in range(2 * n)]
+    return Nfa(n, Alphabet("ab"), 1 << 3, rng.getrandbits(n), rows)
+
+
+@pytest.mark.parametrize(
+    "nfa, alphabet",
+    [
+        # ids already breadth-first; {63, 64} and {127, 128} are subsets
+        (glushkov_star(parse_regex("(a+a)" * 70)), "ab"),
+        (glushkov(parse_regex("(a+b)" * 70 + "(a+b)*")), "abc"),
+        # rows too dense to rename: the subsets are read under the given ids
+        (dense_nfa(150, 130, 3), "ab"),
+        (star_closure(dense_nfa(200, 190, 4)), "abc"),
+        # no initial state: the DFA is the empty subset alone
+        (Nfa(100, Alphabet("a"), 0, 1, [1 << (p + 1) % 100 for p in range(100)]), "a"),
+        # the reachable states are 70..199: a reads {p} to {p + 1, p + 2},
+        # b reads every state back to 70
+        (
+            Nfa(
+                200,
+                Alphabet("ab"),
+                1 << 70,
+                1 << 199 | 1 << 5,
+                [0] * 140
+                + [m for p in range(70, 200) for m in ((3 << p + 1) % (1 << 200), 1 << 70)],
+            ),
+            "ab",
+        ),
+    ],
+)
+def test_subset_construct_chunk_boundaries(nfa, alphabet):
+    dfa = assert_same_dfa(nfa, Alphabet(alphabet))
+    for word in words_up_to(alphabet, 4):
+        assert dfa_accepts(dfa, word) == nfa_accepts(nfa, word)
 
 
 def test_complement_involution():
@@ -793,6 +899,12 @@ def test_parse_nfa_roundtrip_language():
         "states 2\nalphabet a+\ninitial 0\naccepting 1\n",
         "states 2 3\nalphabet ab\ninitial 0\naccepting 1\n",
         "states \u00b2\nalphabet a\ninitial 0\naccepting 0\n",
+        # ids are ASCII digits: int() would read these as 0, 11, 11, 3 and 3
+        "states 12\nalphabet a\ninitial +0\naccepting 0\n",
+        "states 12\nalphabet a\ninitial 0\naccepting 1_1\n",
+        "states 12\nalphabet a\ninitial 0\naccepting 0\n0 a 1_1\n",
+        "states 4\nalphabet a\ninitial \u0663\naccepting 0\n",
+        "states \u0663\nalphabet a\ninitial 0\naccepting 0\n",
     ],
 )
 def test_parse_nfa_errors(text):
@@ -808,6 +920,18 @@ def test_nfa_range_check_allocates_nothing_per_state():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_subset_construct_allocates_nothing_per_unreachable_state():
+    nfa = Nfa(100_000, Alphabet("a"), 1, 1, [0] * 100_000)
+    tracemalloc.start()
+    try:
+        dfa = subset_construct(nfa, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dfa.state_count == 2
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize(

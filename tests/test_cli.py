@@ -156,6 +156,21 @@ def test_reduce_tautology_exit_2(capsys, tmp_path):
     assert "tautology" in err
 
 
+@pytest.mark.parametrize(
+    "argv, text, line",
+    [
+        (["decide", "--nfa", "-f"], "states 12\nalphabet a\ninitial 0\naccepting 1_1\n", 4),
+        (["reduce"], "p cnf 3 1\n+1 -2 3 0\n", 2),
+    ],
+)
+def test_numbers_other_than_ascii_digits_exit_2(capsys, tmp_path, argv, text, line):
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, [*argv, str(path)])
+    assert (code, out) == (2, "")
+    assert f"line {line}:" in err
+
+
 def test_sat_command(capsys, tmp_path):
     path = tmp_path / "one.cnf"
     path.write_text("p cnf 3 1\n1 -2 3 0\n", encoding="utf-8")

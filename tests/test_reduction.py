@@ -64,6 +64,9 @@ def test_parse_dimacs_tautology():
         "p cnf 3 1\n1 -2 three 0\n",
         "p cnf 0 0\n",
         "",
+        # numbers are ASCII digits: int() would read 1_0 as 10 and +1 as 1
+        "p cnf 3 1_0\n" + "1 -2 3 0\n" * 10,
+        "p cnf 3 1\n+1 -2 3 0\n",
     ],
 )
 def test_parse_dimacs_format_errors(text):
