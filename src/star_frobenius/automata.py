@@ -15,21 +15,25 @@ p's slice.  An NFA entry is the bitmask of the states reached, so letter
 i's rows are the slice ``transitions[i::|Σ|]``, and its initial and
 accepting sets are bitmasks too.  A DFA entry is the id of the one state
 reached, and its accepting set is one 0/1 byte per state, the form of the
-window's backward layers.  Subset construction renumbers the NFA's
-reachable states breadth-first, privately, and reads each subset in 64-bit
-chunks: one lookup per chunk, in per-position tables of chunk unions that
-are filled on first use, or one lookup of the whole subset when the
-states fit in one chunk.  Every step after subset construction reads the
-DFA's list.  One backward sweep over the trim's predecessor lists gives
-the cycle test and best[], the longest accepted length from each useful
-state.  The longest witness is read off best[] greedily and the window
-witness off backward layers that stop at the first repeat.
+window's backward layers.  Subset construction reads each subset's
+successors by a plan of word-parallel shifts and shared-row tests when
+the NFA's ids put most edges at a few offsets, as a position automaton's
+do; otherwise it renumbers the reachable states breadth-first, privately,
+and reads each subset in 64-bit chunks: one lookup per chunk, in
+per-position tables of chunk unions that are filled on first use, or one
+lookup of the whole subset when the states fit in one chunk.  Every step
+after subset construction reads the DFA's list.  One backward sweep over
+the trim's predecessor lists gives the cycle test and best[], the longest
+accepted length from each useful state.  The longest witness is read off
+best[] greedily and the window witness off backward layers that stop at
+the first repeat.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from heapq import nlargest
 from itertools import compress
 from operator import itemgetter, ne, or_
 from struct import Struct
@@ -58,6 +62,16 @@ def _members(mask: int):
     while q >= 0:
         yield low + q
         q = bits.find("1", q + 1)
+
+
+def _state_mask(states) -> int:
+    """The bitmask of ``states``, set in a byte buffer: OR-ing 1 << p into
+    an int copies it once per state."""
+    states = list(states)
+    bits = bytearray((max(states, default=0) >> 3) + 1)
+    for p in states:
+        bits[p >> 3] |= 1 << (p & 7)
+    return int.from_bytes(bits, "little")
 
 
 class _Table:
@@ -269,12 +283,7 @@ def parse_nfa(text: str) -> Nfa:
         return value
 
     def state_mask(tokens: list[str], lineno: int) -> int:
-        # bits set in a byte buffer; OR-ing 1 << q into an int copies it per id
-        bits = bytearray((state_count + 7) >> 3)
-        for tok in tokens:
-            q = state_id(tok, lineno)
-            bits[q >> 3] |= 1 << (q & 7)
-        return int.from_bytes(bits, "little")
+        return _state_mask(state_id(tok, lineno) for tok in tokens)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -363,6 +372,103 @@ class _Unions(dict):
         return union
 
 
+def _plan(rows: list[int], order: list[int], budget: int):
+    """The cheapest way to read the union of ``rows`` over a subset of the
+    reachable states ``order`` in fewer than ``budget`` operations, as
+    ``(shifts, tests, rest)``, or None when no plan with a shift does.
+
+    A state is *covered* when each of its edges p -> q lies at an offset
+    d = q - p that has a shift, the mask M_d of the covered states with
+    such an edge: (S & M_d) << d.  An uncovered state whose row is shared
+    by another uncovered one joins a test, ``(G, r)`` for the states G of
+    the row r: r if S & G.  The other uncovered states are the rest, read
+    through chunk tables at one operation to decode S & rest and one per
+    chunk holding a rest state.  Offsets are ranked by the number of edges
+    at them, and the plan takes the prefix of that ranking of least total
+    cost.  The work is linear in the edges of the rows that can be
+    covered, plus one hash of each state's row.
+    """
+    # A row {q} is keyed by its width q + 1, and any other row r by
+    # (r.bit_length(), r), as an int's hash is its value mod 2**61 - 1: the
+    # rows {p} alone would share 61 hash values.  After that a row is its
+    # index in ``distinct``.
+    holders: dict[object, list[int]] = {}
+    for p in order:
+        row = rows[p]
+        if row:
+            width = row.bit_length()
+            key = width if row == 1 << width - 1 else (width, row)
+            holders.setdefault(key, []).append(p)
+    distinct = list(holders)
+    sharers = list(holders.values())  # the states of each distinct row
+    # A row of b members needs b shifts, so only rows of fewer than budget
+    # members can be covered.  Their states' edges, by offset, rank the
+    # offsets; need[p] counts p's edges at offsets not yet shifted.
+    at: dict[int, list[int]] = {}  # d -> the states p with an edge p -> p + d
+    need: dict[int, int] = {}
+    row_of: dict[int, int] = {}
+    for i, key in enumerate(distinct):
+        if type(key) is int:
+            targets = [key - 1]
+        elif key[1].bit_count() < budget:
+            targets = list(_members(key[1]))
+        else:
+            continue
+        for p in sharers[i]:
+            need[p] = len(targets)
+            row_of[p] = i
+            for q in targets:
+                at.setdefault(q - p, []).append(p)
+    ranked = nlargest(budget - 1, at, key=lambda d: len(at[d]))
+
+    # Shift the ranked offsets one at a time, keeping the number of tests
+    # (rows of two or more uncovered states) and of rest states in each
+    # chunk; the cost of a prefix is its shifts, tests and rest reads.
+    left = list(map(len, sharers))  # uncovered states of each row
+    tests = sum(count > 1 for count in left)
+    rest_in: dict[int, int] = {}  # chunk -> rest states in it
+    for states in sharers:
+        if len(states) == 1:
+            rest_in[states[0] >> 6] = rest_in.get(states[0] >> 6, 0) + 1
+    covered: list[int] = []  # in the order the shifts cover them
+    best, taken, count = budget, 0, 0
+    for shifts, d in enumerate(ranked, 1):
+        for p in at[d]:
+            need[p] -= 1
+            if need[p]:
+                continue
+            covered.append(p)
+            i = row_of[p]
+            left[i] -= 1
+            if left[i] == 1:  # the row's test ends: its last state is rest
+                tests -= 1
+                q = next(q for q in sharers[i] if need[q])
+                rest_in[q >> 6] = rest_in.get(q >> 6, 0) + 1
+            elif not left[i]:  # p was rest
+                rest_in[p >> 6] -= 1
+                if not rest_in[p >> 6]:
+                    del rest_in[p >> 6]
+        cost = shifts + tests + (len(rest_in) + 1 if rest_in else 0)
+        if cost < best:
+            best, taken, count = cost, shifts, len(covered)
+    if not taken:
+        return None
+
+    covered = set(covered[:count])
+    shifts = [
+        (_state_mask(p for p in at[d] if p in covered), d) for d in ranked[:taken]
+    ]
+    tests, rest = [], []
+    for key, states in zip(distinct, sharers):
+        uncovered = [p for p in states if p not in covered]
+        if len(uncovered) > 1:
+            row = 1 << key - 1 if type(key) is int else key[1]
+            tests.append((_state_mask(uncovered), row))
+        else:
+            rest += uncovered
+    return shifts, tests, _state_mask(rest)
+
+
 def _breadth_first(nfa: Nfa) -> tuple[list[int], int]:
     """The states reachable from the initial set, by distance from it and
     by id within one distance, and their bitmask."""
@@ -380,6 +486,39 @@ def _breadth_first(nfa: Nfa) -> tuple[list[int], int]:
     return order, seen
 
 
+def _letter_groups(
+    table: list[int], own: Alphabet, n: int, alphabet: Alphabet, states
+) -> list[tuple[list[int], list[int]]]:
+    """The letters of ``alphabet`` in groups, each as (the union of its
+    letters' rows, the enters set of each letter), for the table of an NFA
+    of n states over ``own`` whose subsets hold only ``states``.
+
+    Walking the alphabet in order, a letter joins the previous group when
+    the states it enters from ``states`` are disjoint from those the group
+    enters.  A letter the NFA lacks leads nowhere.
+    """
+    k = len(own.symbols)
+    rows_of = {a: table[i::k] for i, a in enumerate(own.symbols)}
+    groups = []
+    group_enters = 0
+    for a in alphabet.symbols:
+        # a new list: a group ORs its later letters' rows into its first's
+        letter_rows = rows_of.get(a) or [0] * n
+        if len(states) < n:  # the states the letter leads into
+            entered = reduce(or_, map(letter_rows.__getitem__, states), 0)
+        else:
+            entered = reduce(or_, letter_rows, 0)
+        if groups and not entered & group_enters:
+            group_rows[:] = map(or_, group_rows, letter_rows)
+            group_enters |= entered
+        else:
+            group_rows, enters = letter_rows, []
+            groups.append((group_rows, enters))
+            group_enters = entered
+        enters.append(entered)
+    return groups
+
+
 def subset_construct(nfa: Nfa, alphabet: Alphabet | None) -> Dfa:
     """Determinize over ``alphabet`` into a complete DFA.
 
@@ -389,89 +528,93 @@ def subset_construct(nfa: Nfa, alphabet: Alphabet | None) -> Dfa:
     the sink when some symbol leads nowhere.  State ids follow breadth-first
     discovery order, so the construction is deterministic.
 
-    Subsets are bitmasks.  An NFA of more than 64 states is first renumbered
-    breadth-first from its initial set: unreachable states are dropped, and
-    states at one distance from the start get adjacent ids, so that the
-    subsets' 64-bit slices recur.  Each DFA state is the same subset under
-    the private ids, found in the same order, so the DFA does not change.
-    The ids stay as they are when that order is already the identity, or
-    when the rows hold more than 64 members on average (renaming them would
-    cost more than it saves).
+    Subsets are bitmasks.  Walking the alphabet in order, a letter joins
+    the previous letter group when the states it enters are disjoint from
+    those the group enters; then δ(S, a) = succ_g(S) & enters(a), where
+    succ_g(S) is the union of the group's rows over S.  A position
+    automaton is homogeneous (every edge into q reads q's letter), so it
+    forms one group and each subset needs one union.
 
-    Walking the alphabet in order, a letter joins the previous letter group
-    when the states it enters are disjoint from those the group enters; then
-    δ(S, a) = succ_g(S) & enters(a), where succ_g(S) is the union of the
-    group's rows over S.  A position automaton is homogeneous (every edge
-    into q reads q's letter), so it forms one group and each subset needs
-    one union.  S is read in little-endian 64-bit chunks, from its lowest
+    When the reachable states span more than one 64-bit chunk, each group
+    first gets a plan (see _plan), under the NFA's own ids, from the rows
+    of those states: shifts, (S & M_d) << d for an offset d that most edges
+    share; tests, r if S & G for a row r that the states G share; and the
+    rest, read in chunks as below.  A plan is kept only when it has a shift
+    and costs fewer operations per subset than the chunk reads below.  A
+    position automaton in left-to-right order has most of its edges at a
+    few offsets: the 3SAT reduction's take three shifts and one test (the
+    star's row), and a unary expression's one shift and one test.
+
+    Otherwise S is read in little-endian 64-bit chunks, from its lowest
     member's chunk to its highest one's; each chunk position has a table
     from a chunk value to the union of its members' rows, filled on first
     use, and succ_g(S) is the OR of one lookup per chunk.  When the states
-    fit in one chunk, S is looked up whole.
+    fit in one chunk, S is looked up whole.  Without a plan, an NFA of more
+    than 64 states is first renumbered breadth-first from its initial set:
+    unreachable states are dropped, and states at one distance from the
+    start get adjacent ids, so that the subsets' 64-bit slices recur.  Each
+    DFA state is the same subset under the private ids, found in the same
+    order, so the DFA does not change.  The ids stay as they are when that
+    order is already the identity, or when the rows hold more than 64
+    members on average (renaming them would cost more than it saves).
     """
     alphabet = resolve_alphabet(nfa.alphabet, alphabet)
     k = len(nfa.alphabet.symbols)
     n, initial, accepting, table = (
         nfa.state_count, nfa.initial, nfa.accepting, nfa.transitions
     )
+    order = range(n)
     if n > 64:
         order, reachable = _breadth_first(nfa)
-        if len(order) < n or any(map(ne, order, range(n))):
-            reached = [row for p in order for row in table[p * k : p * k + k]]
-            # Renaming takes a step per member of each distinct row: rows of
-            # more than 64 members on average keep their ids.
-            if sum(map(int.bit_count, reached)) <= 64 * len(reached):
-                new_id = dict(zip(order, range(n))).__getitem__
+    groups = _letter_groups(table, nfa.alphabet, n, alphabet, order)
+    plans = [None] * len(groups)
+    if len(order) > 64:  # chunk reads cost a decode and a lookup per chunk
+        budget = ((len(order) + 63) >> 6) + 1
+        plans = [_plan(rows, order, budget) for rows, _ in groups]
+    # With no plan, the ids are renamed unless breadth-first order is
+    # already the identity.
+    renumber = n > 64 and not any(plans)
+    if renumber and (len(order) < n or any(map(ne, order, range(n)))):
+        reached = [row for p in order for row in table[p * k : p * k + k]]
+        # Renaming takes a step per member of each distinct row: rows of
+        # more than 64 members on average keep their ids.
+        if sum(map(int.bit_count, reached)) <= 64 * len(reached):
+            new_id = dict(zip(order, range(n))).__getitem__
 
-                def rename(mask: int) -> int:
-                    return sum(map((1).__lshift__, map(new_id, _members(mask))))
+            def rename(mask: int) -> int:
+                return sum(map((1).__lshift__, map(new_id, _members(mask))))
 
-                # Equal rows are renamed once.  Keys carry the width, as an
-                # int's hash is its value mod 2**61 - 1: the rows {p} alone
-                # would share 61 hash values.
-                keys = [(row.bit_length(), row) for row in reached]
-                renamed = {key: rename(key[1]) for key in set(keys)}
-                table = list(map(renamed.__getitem__, keys))
-                initial = rename(initial)
-                accepting = rename(accepting & reachable)
-                n = len(order)
-    own = {a: table[i::k] for i, a in enumerate(nfa.alphabet.symbols)}
-    # A letter the NFA lacks leads nowhere.  Each list is a new one, since a
-    # group ORs its later letters' rows into its first letter's list.
-    rows = [own.get(a) or [0] * n for a in alphabet.symbols]
+            # Equal rows are renamed once.  Keys carry the width, as an
+            # int's hash is its value mod 2**61 - 1: the rows {p} alone
+            # would share 61 hash values.
+            keys = [(row.bit_length(), row) for row in reached]
+            renamed = {key: rename(key[1]) for key in set(keys)}
+            table = list(map(renamed.__getitem__, keys))
+            initial = rename(initial)
+            accepting = rename(accepting & reachable)
+            n = len(order)
+            groups = _letter_groups(table, nfa.alphabet, n, alphabet, range(n))
 
-    # A group is (one union table per chunk position, the enters set of
-    # each letter).
     chunk_count = max(1, (n + 63) >> 6)
-    groups = []
-    group_enters = 0
-    for letter_rows in rows:
-        entered = reduce(or_, letter_rows, 0)  # the states the letter leads into
-        if groups and not entered & group_enters:
-            group_rows[:] = map(or_, group_rows, letter_rows)
-            group_enters |= entered
-        else:
-            group_rows, enters = letter_rows, []
-            tables = [_Unions(group_rows, c << 6) for c in range(chunk_count)]
-            groups.append((tables, enters))
-            group_enters = entered
-        enters.append(entered)
-
-    wide = chunk_count > 1
-    if wide:  # "<" reads little-endian whatever the machine's byte order
+    if chunk_count > 1:  # "<" reads little-endian whatever the machine's byte order
         unpackers = [Struct(f"<{c}Q").unpack for c in range(chunk_count + 1)]
+    readers = []
+    for (rows, enters), plan in zip(groups, plans):
+        tables = [_Unions(rows, c << 6) for c in range(chunk_count)]
+        read = _plan_reader(*plan, tables, unpackers) if plan else None
+        readers.append((read, tables, enters))
+    wide = chunk_count > 1 and not all(plans)  # some group reads whole subsets
+
     id_of = {initial: 0}
     masks = [initial]
     transitions: list[int] = []
     for mask in masks:  # the list doubles as the BFS queue
         if wide:
-            # mask ^ (mask - 1) keeps the lowest member and the bits below it
-            low = (mask ^ (mask - 1)).bit_length() - 1 >> 6
-            span = mask >> (low << 6)
-            count = (span.bit_length() + 63) >> 6
-            values = unpackers[count](span.to_bytes(count << 3, "little"))
-        for tables, enters in groups:
-            if wide:
+            low, values = _chunks(mask, unpackers)
+        for read, tables, enters in readers:
+            if read:
+                succ = read(mask)
+            elif wide:
                 succ, c = 0, low
                 for value in values:
                     succ |= tables[c][value]
@@ -488,6 +631,41 @@ def subset_construct(nfa: Nfa, alphabet: Alphabet | None) -> Dfa:
 
     accepting = bytes(mask & accepting != 0 for mask in masks)
     return Dfa(len(masks), alphabet, 0, accepting, transitions)
+
+
+def _chunks(mask: int, unpackers) -> tuple[int, tuple[int, ...]]:
+    """The position of the lowest member's 64-bit chunk, and the chunks
+    from there to the highest member's, read little-endian."""
+    # mask ^ (mask - 1) keeps the lowest member and the bits below it
+    low = (mask ^ (mask - 1)).bit_length() - 1 >> 6
+    span = mask >> (low << 6)
+    count = (span.bit_length() + 63) >> 6
+    return low, unpackers[count](span.to_bytes(count << 3, "little"))
+
+
+def _plan_reader(shifts, tests, rest: int, tables: list[_Unions], unpackers):
+    """The union of the rows over a subset by a plan of _plan's: its shifts
+    and tests, and one lookup per chunk of the subset's rest states."""
+    lefts = [(m, d) for m, d in shifts if d >= 0]
+    rights = [(m, -d) for m, d in shifts if d < 0]
+
+    def read(mask: int) -> int:
+        succ = 0
+        for m, d in lefts:
+            succ |= (mask & m) << d
+        for m, d in rights:
+            succ |= (mask & m) >> d
+        for states, row in tests:
+            if mask & states:
+                succ |= row
+        if mask & rest:
+            c, values = _chunks(mask & rest, unpackers)
+            for value in values:
+                succ |= tables[c][value]
+                c += 1
+        return succ
+
+    return read
 
 
 def dfa_accepts(dfa: Dfa, word: str) -> bool:

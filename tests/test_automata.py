@@ -46,6 +46,7 @@ from star_frobenius import (
     window_accepts,
     words_to_regex,
 )
+from star_frobenius import automata
 from star_frobenius.oracle import Matcher, _star_reachable
 from star_frobenius.selftest import random_cnf, random_regex
 
@@ -387,6 +388,197 @@ def test_subset_construct_chunk_boundaries(nfa, alphabet):
     dfa = assert_same_dfa(nfa, Alphabet(alphabet))
     for word in words_up_to(alphabet, 4):
         assert dfa_accepts(dfa, word) == nfa_accepts(nfa, word)
+
+
+@pytest.fixture
+def plan_shapes(monkeypatch):
+    """The plans subset_construct makes, one per letter group when the
+    reachable states span two or more 64-bit chunks: each as (its shift
+    offsets, its number of tests, its number of rest states), or None for a
+    group that reads whole subsets in chunks."""
+    shapes = []
+    make = automata._plan
+
+    def record(*args):
+        plan = make(*args)
+        shapes.append(
+            plan and (sorted(d for _, d in plan[0]), len(plan[1]), plan[2].bit_count())
+        )
+        return plan
+
+    monkeypatch.setattr(automata, "_plan", record)
+    return shapes
+
+
+def plans_over_both_alphabets(nfa, shapes):
+    """assert_same_dfa over the NFA's alphabet and over one widened by
+    letters that enter no state (they join a letter group, so the plans
+    stay the same); the plans made."""
+    shapes.clear()
+    assert_same_dfa(nfa, nfa.alphabet)
+    made = list(shapes)
+    assert_same_dfa(nfa, nfa.alphabet.union(Alphabet("xyz")))
+    assert shapes == made * 2
+    return made
+
+
+def unary_coins(*coins):
+    return glushkov_star(parse_regex("+".join("a" * c for c in coins)))
+
+
+def reversed_chain(n):
+    """p reads a into p - 1, from state n - 1 to the accepting state 0."""
+    table = [1 << p - 1 if p else 0 for p in range(n)]
+    return Nfa(n, Alphabet("a"), 1 << n - 1, 1, table)
+
+
+def forward_chain(n):
+    table = [1 << p + 1 if p < n - 1 else 0 for p in range(n)]
+    return Nfa(n, Alphabet("a"), 1, 1 << n - 1, table)
+
+
+def steps(n, offsets):
+    """The i-th letter reads p into the states p + d, for d in offsets[i],
+    that lie in 0..n-1; start 0, accepting n - 1.  Letters enter
+    overlapping states, so each is a letter group of its own."""
+    table = [
+        sum(1 << p + d for d in letter if 0 <= p + d < n)
+        for p in range(n)
+        for letter in offsets
+    ]
+    return Nfa(n, Alphabet("abc"[: len(offsets)]), 1, 1 << n - 1, table)
+
+
+@pytest.mark.parametrize(
+    "coins", [(31, 34), (40, 29, 30), (7, 121), (64, 65), (3, 497), (100, 150, 250)]
+)
+def test_subset_construct_unary_coin_plans(coins, plan_shapes):
+    # 65 to 500 positions: the edges p -> p + 1 are one shift, and the star
+    # row, shared by position 0 and each coin's last position, one test
+    nfa = unary_coins(*coins)
+    assert plans_over_both_alphabets(nfa, plan_shapes) == [([1], 1, 0)]
+
+
+@pytest.mark.parametrize(
+    "nfa, plan",
+    [
+        (glushkov_star(parse_regex("ab" * 40)), ([-79, 1], 0, 0)),
+        (glushkov_star(parse_regex("ab" * 600)), ([-1199, 1], 0, 0)),
+        (reversed_chain(70), ([-1], 0, 0)),
+        (reversed_chain(2000), ([-1], 0, 0)),
+        (star_closure(reversed_chain(300)), ([-1], 1, 0)),
+    ],
+)
+def test_subset_construct_negative_offset_plans(nfa, plan, plan_shapes):
+    assert plans_over_both_alphabets(nfa, plan_shapes) == [plan]
+
+
+def test_subset_construct_shuffled_ids_take_no_plan(plan_shapes):
+    # a position automaton under shuffled ids, beside unreachable states,
+    # has no offset worth a shift: it is renumbered and read in chunks
+    rng = random.Random(67)
+    made = []
+    for _ in range(12):
+        nfa = scattered_nfa(rng)
+        made += plans_over_both_alphabets(nfa, plan_shapes)
+        made += plans_over_both_alphabets(star_closure(nfa), plan_shapes)
+    assert len(made) >= 15
+    assert made == [None] * len(made)
+
+
+@pytest.mark.parametrize("before, after", [(0, 40), (25, 0), (30, 50)])
+def test_subset_construct_plans_beside_unreachable_states(before, after, plan_shapes):
+    # "(ab+c)" * 100 moves by 1 to 4 positions; unreachable states before
+    # and after the positions, with edges into the positions, change no
+    # offset and no letter group
+    base = glushkov_star(parse_regex("(ab+c)" * 100))
+    m, k = base.state_count, len(base.alphabet)
+    n = before + m + after
+    rng = random.Random(before + after)
+    table = [
+        1 << before + rng.randrange(m) | 1 << rng.randrange(n) for _ in range(before * k)
+    ]
+    table += [row << before for row in base.transitions]
+    table += [1 << rng.randrange(n) | 1 << before for _ in range(after * k)]
+    nfa = Nfa(n, base.alphabet, 1 << before, base.accepting << before, table)
+    assert plans_over_both_alphabets(nfa, plan_shapes) == [([1, 2, 3, 4], 1, 0)]
+
+
+def test_subset_construct_plan_with_rest_states(plan_shapes):
+    # b's row {c, d, e, f, g} has too many members to shift, and no other
+    # state shares it: b is read through the chunk tables
+    nfa = glushkov_star(parse_regex("a" * 130 + "+" + "a" * 135 + "+b(c+d+e+f+g)"))
+    assert plans_over_both_alphabets(nfa, plan_shapes) == [([1], 1, 1)]
+
+
+@pytest.mark.parametrize(
+    "nfa, plans",
+    [
+        (
+            steps(150, [(1, 3), (2,), (-1,)]),
+            [([1, 3], 0, 0), ([2], 0, 0), ([-1], 0, 0)],
+        ),
+        (
+            star_closure(steps(200, [(1,), (2,), (-1,)])),
+            [([1], 1, 0), ([2], 1, 0), ([-1], 0, 0)],
+        ),
+    ],
+)
+def test_subset_construct_plans_per_letter_group(nfa, plans, plan_shapes):
+    assert plans_over_both_alphabets(nfa, plan_shapes) == plans
+
+
+def test_subset_construct_planned_and_chunked_groups(plan_shapes):
+    # a reads p into p + 1 and p + 2, and every 25th state reads b into a
+    # random state: a's group is planned, and b's reads whole subsets in
+    # chunks under the same ids
+    rng = random.Random(71)
+    n = 150
+    table = [
+        row % (1 << n)
+        for p in range(n)
+        for row in (3 << p + 1, 1 << rng.randrange(n) if p % 25 == 0 else 0)
+    ]
+    nfa = Nfa(n, Alphabet("ab"), 1, 1 << n - 1, table)
+    assert plans_over_both_alphabets(nfa, plan_shapes) == [([1, 2], 0, 0), None]
+
+
+def mostly_deterministic_nfa(rng):
+    """65-120 states over two or three letters; each state reads a letter
+    into one random state, two, or none."""
+    n = rng.randint(65, 120)
+    alphabet = Alphabet("abc"[: rng.randint(2, 3)])
+    table = []
+    for _ in range(n * len(alphabet)):
+        x = rng.random()
+        count = 1 if x < 0.5 else 2 if x < 0.53 else 0
+        table.append(sum(1 << rng.randrange(n) for _ in range(count)))
+    accepting = sum(1 << q for q in range(n) if rng.random() < 0.2)
+    return Nfa(n, alphabet, 1 << rng.randrange(n), accepting, table)
+
+
+def test_subset_construct_star_closures_of_several_letter_groups(plan_shapes):
+    rng = random.Random(73)
+    made = []
+    for _ in range(12):
+        made += plans_over_both_alphabets(
+            star_closure(mostly_deterministic_nfa(rng)), plan_shapes
+        )
+    assert len(made) >= 6
+
+
+def test_subset_construct_reversed_chain_keeps_its_ids():
+    # the reversed chain runs against breadth-first order, but its edges
+    # are one shift, so no renamed copy of its rows is made
+    peaks = []
+    for nfa in (forward_chain(2000), reversed_chain(2000)):
+        tracemalloc.start()
+        try:
+            subset_construct(nfa, None)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0]
 
 
 def test_complement_involution():
