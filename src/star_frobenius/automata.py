@@ -17,7 +17,7 @@ accepting sets are bitmasks too.  A DFA entry is the id of the one state
 reached, and its accepting set is one 0/1 byte per state, the form of the
 window's backward layers.  Subset construction reads each subset's
 successors by a plan of word-parallel shifts and shared-row tests when
-the NFA's ids put most edges at a few offsets, as a position automaton's
+the NFA's ids put its edges at a few offsets, as a position automaton's
 do; otherwise it renumbers the reachable states breadth-first, privately,
 and reads each subset in 64-bit chunks: one lookup per chunk, in
 per-position tables of chunk unions that are filled on first use, or one
@@ -374,19 +374,19 @@ class _Unions(dict):
 
 def _plan(rows: list[int], order: list[int], budget: int):
     """The cheapest way to read the union of ``rows`` over a subset of the
-    reachable states ``order`` in fewer than ``budget`` operations, as
-    ``(shifts, tests, rest)``, or None when no plan with a shift does.
+    reachable states ``order`` by shifts and tests in fewer than ``budget``
+    operations, as ``(shifts, tests)``, or None when no plan with a shift
+    does.
 
     A state is *covered* when each of its edges p -> q lies at an offset
     d = q - p that has a shift, the mask M_d of the covered states with
-    such an edge: (S & M_d) << d.  An uncovered state whose row is shared
-    by another uncovered one joins a test, ``(G, r)`` for the states G of
-    the row r: r if S & G.  The other uncovered states are the rest, read
-    through chunk tables at one operation to decode S & rest and one per
-    chunk holding a rest state.  Offsets are ranked by the number of edges
-    at them, and the plan takes the prefix of that ranking of least total
-    cost.  The work is linear in the edges of the rows that can be
-    covered, plus one hash of each state's row.
+    such an edge: (S & M_d) << d.  The uncovered states G of one row r
+    form a test ``(G, r)``: r if S & G, and a plan has no test of a single
+    state.  Offsets are ranked by the number of edges at them, and the plan
+    takes the prefix of that ranking of least cost, shifts plus tests,
+    among those that leave no row with one uncovered state.  The work
+    is linear in the edges of the rows that can be covered, plus one hash
+    of each state's row.
     """
     # A row {q} is keyed by its width q + 1, and any other row r by
     # (r.bit_length(), r), as an int's hash is its value mod 2**61 - 1: the
@@ -421,15 +421,11 @@ def _plan(rows: list[int], order: list[int], budget: int):
                 at.setdefault(q - p, []).append(p)
     ranked = nlargest(budget - 1, at, key=lambda d: len(at[d]))
 
-    # Shift the ranked offsets one at a time, keeping the number of tests
-    # (rows of two or more uncovered states) and of rest states in each
-    # chunk; the cost of a prefix is its shifts, tests and rest reads.
+    # Shift the ranked offsets one at a time, keeping the number of rows
+    # of two or more uncovered states (the tests) and of rows of one.
     left = list(map(len, sharers))  # uncovered states of each row
     tests = sum(count > 1 for count in left)
-    rest_in: dict[int, int] = {}  # chunk -> rest states in it
-    for states in sharers:
-        if len(states) == 1:
-            rest_in[states[0] >> 6] = rest_in.get(states[0] >> 6, 0) + 1
+    alone = len(left) - tests
     covered: list[int] = []  # in the order the shifts cover them
     best, taken, count = budget, 0, 0
     for shifts, d in enumerate(ranked, 1):
@@ -440,17 +436,13 @@ def _plan(rows: list[int], order: list[int], budget: int):
             covered.append(p)
             i = row_of[p]
             left[i] -= 1
-            if left[i] == 1:  # the row's test ends: its last state is rest
+            if left[i] == 1:  # the row's test ends: its last state is alone
                 tests -= 1
-                q = next(q for q in sharers[i] if need[q])
-                rest_in[q >> 6] = rest_in.get(q >> 6, 0) + 1
-            elif not left[i]:  # p was rest
-                rest_in[p >> 6] -= 1
-                if not rest_in[p >> 6]:
-                    del rest_in[p >> 6]
-        cost = shifts + tests + (len(rest_in) + 1 if rest_in else 0)
-        if cost < best:
-            best, taken, count = cost, shifts, len(covered)
+                alone += 1
+            elif not left[i]:  # p was alone
+                alone -= 1
+        if not alone and shifts + tests < best:
+            best, taken, count = shifts + tests, shifts, len(covered)
     if not taken:
         return None
 
@@ -458,15 +450,13 @@ def _plan(rows: list[int], order: list[int], budget: int):
     shifts = [
         (_state_mask(p for p in at[d] if p in covered), d) for d in ranked[:taken]
     ]
-    tests, rest = [], []
+    tests = []
     for key, states in zip(distinct, sharers):
         uncovered = [p for p in states if p not in covered]
-        if len(uncovered) > 1:
+        if uncovered:
             row = 1 << key - 1 if type(key) is int else key[1]
             tests.append((_state_mask(uncovered), row))
-        else:
-            rest += uncovered
-    return shifts, tests, _state_mask(rest)
+    return shifts, tests
 
 
 def _breadth_first(nfa: Nfa) -> tuple[list[int], int]:
@@ -535,28 +525,32 @@ def subset_construct(nfa: Nfa, alphabet: Alphabet | None) -> Dfa:
     automaton is homogeneous (every edge into q reads q's letter), so it
     forms one group and each subset needs one union.
 
-    When the reachable states span more than one 64-bit chunk, each group
-    first gets a plan (see _plan), under the NFA's own ids, from the rows
-    of those states: shifts, (S & M_d) << d for an offset d that most edges
-    share; tests, r if S & G for a row r that the states G share; and the
-    rest, read in chunks as below.  A plan is kept only when it has a shift
-    and costs fewer operations per subset than the chunk reads below.  A
-    position automaton in left-to-right order has most of its edges at a
-    few offsets: the 3SAT reduction's take three shifts and one test (the
+    An NFA of more than 64 states first keeps only the ids from its lowest
+    reachable state to its highest, shifted down, so that unreachable
+    states outside that span widen no subset.  When more than 64 states
+    are reachable, each group then gets a plan (see _plan) from the rows of
+    those states: shifts, (S & M_d) << d for an offset d that most edges
+    share, and tests, r if S & G for a row r that the states G share.  A
+    group has a plan only when its shifts and tests cover every reachable
+    state and cost fewer operations per subset than the chunk reads below,
+    and the plans are used only when every group has one.  A position
+    automaton in left-to-right order has most of its edges at a few
+    offsets: the 3SAT reduction's take three shifts and one test (the
     star's row), and a unary expression's one shift and one test.
 
     Otherwise S is read in little-endian 64-bit chunks, from its lowest
     member's chunk to its highest one's; each chunk position has a table
     from a chunk value to the union of its members' rows, filled on first
     use, and succ_g(S) is the OR of one lookup per chunk.  When the states
-    fit in one chunk, S is looked up whole.  Without a plan, an NFA of more
+    fit in one chunk, S is looked up whole.  Without plans, an NFA of more
     than 64 states is first renumbered breadth-first from its initial set:
     unreachable states are dropped, and states at one distance from the
     start get adjacent ids, so that the subsets' 64-bit slices recur.  Each
     DFA state is the same subset under the private ids, found in the same
     order, so the DFA does not change.  The ids stay as they are when that
     order is already the identity, or when the rows hold more than 64
-    members on average (renaming them would cost more than it saves).
+    members per letter on average (renaming them would cost more than it
+    saves).
     """
     alphabet = resolve_alphabet(nfa.alphabet, alphabet)
     k = len(nfa.alphabet.symbols)
@@ -566,20 +560,33 @@ def subset_construct(nfa: Nfa, alphabet: Alphabet | None) -> Dfa:
     order = range(n)
     if n > 64:
         order, reachable = _breadth_first(nfa)
+        start, stop = min(order, default=0), max(order, default=-1) + 1
+        if start or stop < n:  # only the span of the reachable ids is kept
+            table = [row >> start for row in table[start * k : stop * k]]
+            initial >>= start
+            accepting >>= start
+            reachable >>= start
+            order = [p - start for p in order]
+            n = stop - start
     groups = _letter_groups(table, nfa.alphabet, n, alphabet, order)
-    plans = [None] * len(groups)
+    plans = []
     if len(order) > 64:  # chunk reads cost a decode and a lookup per chunk
         budget = ((len(order) + 63) >> 6) + 1
         plans = [_plan(rows, order, budget) for rows, _ in groups]
+    if plans and all(plans):
+        return _planned(groups, plans, initial, accepting, alphabet)
+
     # With no plan, the ids are renamed unless breadth-first order is
     # already the identity.
-    renumber = n > 64 and not any(plans)
-    if renumber and (len(order) < n or any(map(ne, order, range(n)))):
-        reached = [row for p in order for row in table[p * k : p * k + k]]
+    if n > 64 and (len(order) < n or any(map(ne, order, range(n)))):
+        m = len(order)
+        reached = [rows[p] for rows, _ in groups for p in order]
         # Renaming takes a step per member of each distinct row: rows of
-        # more than 64 members on average keep their ids.
-        if sum(map(int.bit_count, reached)) <= 64 * len(reached):
-            new_id = dict(zip(order, range(n))).__getitem__
+        # more than 64 members per letter on average keep their ids.  A
+        # group's letters enter disjoint states, so its row holds its
+        # letters' members.
+        if sum(map(int.bit_count, reached)) <= 64 * m * k:
+            new_id = dict(zip(order, range(m))).__getitem__
 
             def rename(mask: int) -> int:
                 return sum(map((1).__lshift__, map(new_id, _members(mask))))
@@ -589,32 +596,37 @@ def subset_construct(nfa: Nfa, alphabet: Alphabet | None) -> Dfa:
             # would share 61 hash values.
             keys = [(row.bit_length(), row) for row in reached]
             renamed = {key: rename(key[1]) for key in set(keys)}
-            table = list(map(renamed.__getitem__, keys))
+            reached = list(map(renamed.__getitem__, keys))
+            groups = [
+                (reached[g * m : g * m + m], list(map(rename, enters)))
+                for g, (_, enters) in enumerate(groups)
+            ]
             initial = rename(initial)
             accepting = rename(accepting & reachable)
-            n = len(order)
-            groups = _letter_groups(table, nfa.alphabet, n, alphabet, range(n))
+            n = m
 
+    # A group is (one union table per chunk position, the enters set of
+    # each letter).
     chunk_count = max(1, (n + 63) >> 6)
-    if chunk_count > 1:  # "<" reads little-endian whatever the machine's byte order
+    groups = [
+        ([_Unions(rows, c << 6) for c in range(chunk_count)], enters)
+        for rows, enters in groups
+    ]
+    wide = chunk_count > 1
+    if wide:  # "<" reads little-endian whatever the machine's byte order
         unpackers = [Struct(f"<{c}Q").unpack for c in range(chunk_count + 1)]
-    readers = []
-    for (rows, enters), plan in zip(groups, plans):
-        tables = [_Unions(rows, c << 6) for c in range(chunk_count)]
-        read = _plan_reader(*plan, tables, unpackers) if plan else None
-        readers.append((read, tables, enters))
-    wide = chunk_count > 1 and not all(plans)  # some group reads whole subsets
-
     id_of = {initial: 0}
     masks = [initial]
     transitions: list[int] = []
     for mask in masks:  # the list doubles as the BFS queue
         if wide:
-            low, values = _chunks(mask, unpackers)
-        for read, tables, enters in readers:
-            if read:
-                succ = read(mask)
-            elif wide:
+            # mask ^ (mask - 1) keeps the lowest member and the bits below it
+            low = (mask ^ (mask - 1)).bit_length() - 1 >> 6
+            span = mask >> (low << 6)
+            count = (span.bit_length() + 63) >> 6
+            values = unpackers[count](span.to_bytes(count << 3, "little"))
+        for tables, enters in groups:
+            if wide:
                 succ, c = 0, low
                 for value in values:
                     succ |= tables[c][value]
@@ -633,19 +645,32 @@ def subset_construct(nfa: Nfa, alphabet: Alphabet | None) -> Dfa:
     return Dfa(len(masks), alphabet, 0, accepting, transitions)
 
 
-def _chunks(mask: int, unpackers) -> tuple[int, tuple[int, ...]]:
-    """The position of the lowest member's 64-bit chunk, and the chunks
-    from there to the highest member's, read little-endian."""
-    # mask ^ (mask - 1) keeps the lowest member and the bits below it
-    low = (mask ^ (mask - 1)).bit_length() - 1 >> 6
-    span = mask >> (low << 6)
-    count = (span.bit_length() + 63) >> 6
-    return low, unpackers[count](span.to_bytes(count << 3, "little"))
+def _planned(groups, plans, initial: int, accepting: int, alphabet) -> Dfa:
+    """subset_construct's DFA when every letter group has a plan."""
+    readers = [
+        (_plan_reader(*plan), enters) for (_, enters), plan in zip(groups, plans)
+    ]
+
+    id_of = {initial: 0}
+    masks = [initial]
+    transitions: list[int] = []
+    for mask in masks:  # the list doubles as the BFS queue
+        for read, enters in readers:
+            succ = read(mask)
+            for entered in enters:
+                nxt = succ & entered
+                target = id_of.get(nxt)
+                if target is None:
+                    target = id_of[nxt] = len(masks)
+                    masks.append(nxt)
+                transitions.append(target)
+
+    accepting = bytes(mask & accepting != 0 for mask in masks)
+    return Dfa(len(masks), alphabet, 0, accepting, transitions)
 
 
-def _plan_reader(shifts, tests, rest: int, tables: list[_Unions], unpackers):
-    """The union of the rows over a subset by a plan of _plan's: its shifts
-    and tests, and one lookup per chunk of the subset's rest states."""
+def _plan_reader(shifts, tests):
+    """The union of the rows over a subset by a plan of _plan's."""
     lefts = [(m, d) for m, d in shifts if d >= 0]
     rights = [(m, -d) for m, d in shifts if d < 0]
 
@@ -658,11 +683,6 @@ def _plan_reader(shifts, tests, rest: int, tables: list[_Unions], unpackers):
         for states, row in tests:
             if mask & states:
                 succ |= row
-        if mask & rest:
-            c, values = _chunks(mask & rest, unpackers)
-            for value in values:
-                succ |= tables[c][value]
-                c += 1
         return succ
 
     return read

@@ -394,16 +394,13 @@ def test_subset_construct_chunk_boundaries(nfa, alphabet):
 def plan_shapes(monkeypatch):
     """The plans subset_construct makes, one per letter group when the
     reachable states span two or more 64-bit chunks: each as (its shift
-    offsets, its number of tests, its number of rest states), or None for a
-    group that reads whole subsets in chunks."""
+    offsets, its number of tests), or None for a group that has none."""
     shapes = []
     make = automata._plan
 
     def record(*args):
         plan = make(*args)
-        shapes.append(
-            plan and (sorted(d for _, d in plan[0]), len(plan[1]), plan[2].bit_count())
-        )
+        shapes.append(plan and (sorted(d for _, d in plan[0]), len(plan[1])))
         return plan
 
     monkeypatch.setattr(automata, "_plan", record)
@@ -456,17 +453,17 @@ def test_subset_construct_unary_coin_plans(coins, plan_shapes):
     # 65 to 500 positions: the edges p -> p + 1 are one shift, and the star
     # row, shared by position 0 and each coin's last position, one test
     nfa = unary_coins(*coins)
-    assert plans_over_both_alphabets(nfa, plan_shapes) == [([1], 1, 0)]
+    assert plans_over_both_alphabets(nfa, plan_shapes) == [([1], 1)]
 
 
 @pytest.mark.parametrize(
     "nfa, plan",
     [
-        (glushkov_star(parse_regex("ab" * 40)), ([-79, 1], 0, 0)),
-        (glushkov_star(parse_regex("ab" * 600)), ([-1199, 1], 0, 0)),
-        (reversed_chain(70), ([-1], 0, 0)),
-        (reversed_chain(2000), ([-1], 0, 0)),
-        (star_closure(reversed_chain(300)), ([-1], 1, 0)),
+        (glushkov_star(parse_regex("ab" * 40)), ([-79, 1], 0)),
+        (glushkov_star(parse_regex("ab" * 600)), ([-1199, 1], 0)),
+        (reversed_chain(70), ([-1], 0)),
+        (reversed_chain(2000), ([-1], 0)),
+        (star_closure(reversed_chain(300)), ([-1], 1)),
     ],
 )
 def test_subset_construct_negative_offset_plans(nfa, plan, plan_shapes):
@@ -501,14 +498,52 @@ def test_subset_construct_plans_beside_unreachable_states(before, after, plan_sh
     table += [row << before for row in base.transitions]
     table += [1 << rng.randrange(n) | 1 << before for _ in range(after * k)]
     nfa = Nfa(n, base.alphabet, 1 << before, base.accepting << before, table)
-    assert plans_over_both_alphabets(nfa, plan_shapes) == [([1, 2, 3, 4], 1, 0)]
+    assert plans_over_both_alphabets(nfa, plan_shapes) == [([1, 2, 3, 4], 1)]
 
 
-def test_subset_construct_plan_with_rest_states(plan_shapes):
+def test_subset_construct_rest_states_take_no_plan(plan_shapes):
     # b's row {c, d, e, f, g} has too many members to shift, and no other
-    # state shares it: b is read through the chunk tables
+    # state shares it, so a plan would leave b alone: the group is read in
+    # chunks
     nfa = glushkov_star(parse_regex("a" * 130 + "+" + "a" * 135 + "+b(c+d+e+f+g)"))
-    assert plans_over_both_alphabets(nfa, plan_shapes) == [([1], 1, 1)]
+    assert plans_over_both_alphabets(nfa, plan_shapes) == [None]
+
+
+def behind_unreachable_states(nfa, before):
+    """``nfa`` with its ids raised by ``before``, above as many edgeless
+    unreachable states."""
+    table = [0] * (before * len(nfa.alphabet))
+    table += [row << before for row in nfa.transitions]
+    return Nfa(
+        before + nfa.state_count,
+        nfa.alphabet,
+        nfa.initial << before,
+        nfa.accepting << before,
+        table,
+    )
+
+
+@pytest.mark.parametrize(
+    "nfa, plan",
+    [
+        (unary_coins(31, 34), ([1], 1)),
+        (glushkov_star(parse_regex("(ab+c)" * 100)), ([1, 2, 3, 4], 1)),
+    ],
+)
+def test_subset_construct_plans_behind_a_long_unreachable_prefix(nfa, plan, plan_shapes):
+    # the 100,000 unreachable states below the positions are dropped before
+    # planning, so they widen no subset and no table
+    peaks = []
+    for case in (nfa, behind_unreachable_states(nfa, 100_000)):
+        tracemalloc.start()
+        try:
+            dfa = subset_construct(case, None)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert dfa == reference_subset_construct(case, case.alphabet)
+    assert plan_shapes == [plan, plan]
+    assert peaks[1] < peaks[0] + 2**18
 
 
 @pytest.mark.parametrize(
@@ -516,11 +551,11 @@ def test_subset_construct_plan_with_rest_states(plan_shapes):
     [
         (
             steps(150, [(1, 3), (2,), (-1,)]),
-            [([1, 3], 0, 0), ([2], 0, 0), ([-1], 0, 0)],
+            [([1, 3], 0), ([2], 0), ([-1], 0)],
         ),
         (
             star_closure(steps(200, [(1,), (2,), (-1,)])),
-            [([1], 1, 0), ([2], 1, 0), ([-1], 0, 0)],
+            [([1], 1), ([2], 1), ([-1], 0)],
         ),
     ],
 )
@@ -528,10 +563,11 @@ def test_subset_construct_plans_per_letter_group(nfa, plans, plan_shapes):
     assert plans_over_both_alphabets(nfa, plan_shapes) == plans
 
 
-def test_subset_construct_planned_and_chunked_groups(plan_shapes):
+def test_subset_construct_one_group_without_a_plan(plan_shapes, monkeypatch):
     # a reads p into p + 1 and p + 2, and every 25th state reads b into a
-    # random state: a's group is planned, and b's reads whole subsets in
-    # chunks under the same ids
+    # random state: a's group has a plan and b's none, so neither plan is
+    # used and both groups are read in chunks
+    monkeypatch.setattr(automata, "_plan_reader", lambda *plan: pytest.fail())
     rng = random.Random(71)
     n = 150
     table = [
@@ -540,7 +576,7 @@ def test_subset_construct_planned_and_chunked_groups(plan_shapes):
         for row in (3 << p + 1, 1 << rng.randrange(n) if p % 25 == 0 else 0)
     ]
     nfa = Nfa(n, Alphabet("ab"), 1, 1 << n - 1, table)
-    assert plans_over_both_alphabets(nfa, plan_shapes) == [([1, 2], 0, 0), None]
+    assert plans_over_both_alphabets(nfa, plan_shapes) == [([1, 2], 0), None]
 
 
 def mostly_deterministic_nfa(rng):
@@ -558,6 +594,9 @@ def mostly_deterministic_nfa(rng):
 
 
 def test_subset_construct_star_closures_of_several_letter_groups(plan_shapes):
+    # a random NFA's edges share no offset, so each of its star's two or
+    # three letter groups, when more than 64 states are reachable, is
+    # renumbered and read in chunks
     rng = random.Random(73)
     made = []
     for _ in range(12):
@@ -565,6 +604,7 @@ def test_subset_construct_star_closures_of_several_letter_groups(plan_shapes):
             star_closure(mostly_deterministic_nfa(rng)), plan_shapes
         )
     assert len(made) >= 6
+    assert made == [None] * len(made)
 
 
 def test_subset_construct_reversed_chain_keeps_its_ids():
