@@ -21,12 +21,13 @@ the NFA's ids put its edges at a few offsets, as a position automaton's
 do; otherwise it renumbers the reachable states breadth-first, privately,
 and reads each subset in 64-bit chunks: one lookup per chunk, in
 per-position tables of chunk unions that are filled on first use, or one
-lookup of the whole subset when the states fit in one chunk.  Every step
-after subset construction reads the DFA's list.  One backward sweep over
-the trim's predecessor lists gives the cycle test and best[], the longest
-accepted length from each useful state.  The longest witness is read off
-best[] greedily and the window witness off backward layers that stop at
-the first repeat.
+lookup of the whole subset when the states fit in one chunk.  The steps
+after subset construction read the DFA by per-letter columns, the slices
+``transitions[i::|Σ|]`` taken once per call, so each edge they follow is
+one list index.  One backward sweep over the trim's predecessor lists
+gives the cycle test and best[], the longest accepted length from each
+useful state.  The longest witness is read off best[] greedily and the
+window witness off backward layers that stop at the first repeat.
 """
 
 from __future__ import annotations
@@ -56,7 +57,9 @@ from .regex import (
 def _members(mask: int):
     """The state ids in a bitmask, lowest first, in time linear in the span
     from its lowest member to its highest."""
-    low = (mask & -mask).bit_length() - 1  # the lowest member, -1 for 0
+    # mask ^ (mask - 1) keeps the lowest member and the bits below it, and
+    # makes two temporaries as wide as mask, where mask & -mask makes three
+    low = (mask ^ (mask - 1)).bit_length() - 1
     bits = bin(mask >> low)[:1:-1] if mask else ""  # bit q is character q
     q = bits.find("1")
     while q >= 0:
@@ -468,12 +471,32 @@ def _breadth_first(nfa: Nfa) -> tuple[list[int], int]:
     while frontier:
         layer = list(_members(frontier))
         order += layer
-        reached = 0
+        frontier = 0  # one mask at a time as wide as the states' span
         for p in layer:
-            reached = reduce(or_, table[p * k : p * k + k], reached)
-        frontier = (reached | seen) ^ seen
-        seen |= reached
+            frontier = reduce(or_, table[p * k : p * k + k], frontier)
+        frontier = (frontier | seen) ^ seen
+        seen |= frontier
     return order, seen
+
+
+def _renaming(order: list[int]):
+    """The functions from a state in ``order`` to its index there, and from
+    a bitmask of such states to the bitmask of their indices."""
+    new_id = dict(zip(order, range(len(order)))).__getitem__
+
+    def rename(mask: int) -> int:
+        return sum(map((1).__lshift__, map(new_id, _members(mask))))
+
+    return new_id, rename
+
+
+def _renamed(rows: list[int], rename) -> list[int]:
+    """``rows`` renamed, equal rows once.  Keys carry the width, as an int's
+    hash is its value mod 2**61 - 1: the rows {p} alone would share 61 hash
+    values."""
+    keys = [(row.bit_length(), row) for row in rows]
+    renamed = {key: rename(key[1]) for key in set(keys)}
+    return list(map(renamed.__getitem__, keys))
 
 
 def _letter_groups(
@@ -527,16 +550,20 @@ def subset_construct(nfa: Nfa, alphabet: Alphabet | None) -> Dfa:
 
     An NFA of more than 64 states first keeps only the ids from its lowest
     reachable state to its highest, shifted down, so that unreachable
-    states outside that span widen no subset.  When more than 64 states
-    are reachable, each group then gets a plan (see _plan) from the rows of
-    those states: shifts, (S & M_d) << d for an offset d that most edges
-    share, and tests, r if S & G for a row r that the states G share.  A
-    group has a plan only when its shifts and tests cover every reachable
-    state and cost fewer operations per subset than the chunk reads below,
-    and the plans are used only when every group has one.  A position
-    automaton in left-to-right order has most of its edges at a few
-    offsets: the 3SAT reduction's take three shifts and one test (the
-    star's row), and a unary expression's one shift and one test.
+    states outside that span widen no subset.  When unreachable ids inside
+    the span make it one 64-bit word or more wider than the reachable
+    states, these are renumbered by rank instead, which keeps their order.
+    (A narrower gap stays: renumbering across it would move the offsets of
+    the edges over it to save less than a word per subset.)  When more
+    than 64 states are reachable, each group then gets a plan (see _plan)
+    from the rows of those states: shifts, (S & M_d) << d for an offset d
+    that most edges share, and tests, r if S & G for a row r that the
+    states G share.  A group has a plan only when its shifts and tests
+    cover every reachable state and cost fewer operations per subset than
+    the chunk reads below, and the plans are used only when every group
+    has one.  A position automaton in left-to-right order has most of its
+    edges at a few offsets: the 3SAT reduction's take three shifts and one
+    test (the star's row), and a unary expression's one shift and one test.
 
     Otherwise S is read in little-endian 64-bit chunks, from its lowest
     member's chunk to its highest one's; each chunk position has a table
@@ -561,7 +588,17 @@ def subset_construct(nfa: Nfa, alphabet: Alphabet | None) -> Dfa:
     if n > 64:
         order, reachable = _breadth_first(nfa)
         start, stop = min(order, default=0), max(order, default=-1) + 1
-        if start or stop < n:  # only the span of the reachable ids is kept
+        if (len(order) + 63) >> 6 < (stop - start + 63) >> 6:  # ids by rank
+            ranked = sorted(order)
+            new_id, rename = _renaming(ranked)
+            rows = [row for p in ranked for row in table[p * k : p * k + k]]
+            table = _renamed(rows, rename)
+            initial = rename(initial)
+            accepting = rename(accepting & reachable)
+            order = list(map(new_id, order))
+            n = len(order)
+            reachable = (1 << n) - 1
+        elif start or stop < n:  # only the span of the reachable ids is kept
             table = [row >> start for row in table[start * k : stop * k]]
             initial >>= start
             accepting >>= start
@@ -586,17 +623,8 @@ def subset_construct(nfa: Nfa, alphabet: Alphabet | None) -> Dfa:
         # group's letters enter disjoint states, so its row holds its
         # letters' members.
         if sum(map(int.bit_count, reached)) <= 64 * m * k:
-            new_id = dict(zip(order, range(m))).__getitem__
-
-            def rename(mask: int) -> int:
-                return sum(map((1).__lshift__, map(new_id, _members(mask))))
-
-            # Equal rows are renamed once.  Keys carry the width, as an
-            # int's hash is its value mod 2**61 - 1: the rows {p} alone
-            # would share 61 hash values.
-            keys = [(row.bit_length(), row) for row in reached]
-            renamed = {key: rename(key[1]) for key in set(keys)}
-            reached = list(map(renamed.__getitem__, keys))
+            _, rename = _renaming(order)
+            reached = _renamed(reached, rename)
             groups = [
                 (reached[g * m : g * m + m], list(map(rename, enters)))
                 for g, (_, enters) in enumerate(groups)
@@ -717,19 +745,23 @@ def trim_useful(dfa: Dfa) -> TrimmedView:
     """The useful states (reachable from the start and co-reachable to
     acceptance), the longest accepted length from each, and the cycle test.
 
-    The forward search lists each reachable state's predecessors.  The
-    backward search over those lists finds the useful states and counts
-    each one's edges into useful states; Kahn's algorithm on the reversed
-    edges then settles them successors first, raising best[p] to
-    best[q] + 1 as it settles q.  A useful state left unsettled lies on a
-    cycle.
+    The forward search lists each reachable state's predecessors, reading
+    its successors from the per-letter columns of the table, one list
+    index per edge.  The backward search over those lists finds the useful
+    states and counts each one's edges into useful states; Kahn's
+    algorithm on the reversed edges then settles them successors first,
+    raising best[p] to best[q] + 1 as it settles q.  A useful state left
+    unsettled lies on a cycle.
     """
+    k, table = len(dfa.alphabet), dfa.transitions
+    columns = [table[i::k] for i in range(k)]  # columns[i][p] = δ(p, i)
     reachable = [False] * dfa.state_count
     reachable[dfa.start] = True
     predecessors: list[list[int]] = [[] for _ in range(dfa.state_count)]
     queue = [dfa.start]
     for p in queue:  # the list doubles as the FIFO queue
-        for q in dfa.row(p):
+        for column in columns:
+            q = column[p]
             predecessors[q].append(p)
             if not reachable[q]:
                 reachable[q] = True
@@ -790,10 +822,11 @@ def window_accepts(dfa: Dfa, lo: int, hi: int) -> tuple[int, str] | None:
     word = [""] * lo
     n, start = dfa.state_count, dfa.start
     symbols, k, table = dfa.alphabet.symbols, len(dfa.alphabet), dfa.transitions
+    columns = [table[i::k] for i in range(k)]  # columns[i][p] = δ(p, i)
     # letter i's gather maps B_j to the tuple (B_j[δ(p, i)] for each p); a
     # one-index itemgetter returns a bare item, but a 1-state DFA's only
     # successor is state 0, so there the gather is B_j itself
-    gathers = [itemgetter(*table[i::k]) if n > 1 else bytes for i in range(k)]
+    gathers = [itemgetter(*column) if n > 1 else bytes for column in columns]
     layer = dfa.accepting  # B_j, one 0/1 byte per state
     first_seen: dict[bytes, int] = {}  # B_j -> j
     length = None
@@ -807,7 +840,7 @@ def window_accepts(dfa: Dfa, lo: int, hi: int) -> tuple[int, str] | None:
         # bytewise OR of 0/1 bytes: one big-int OR per letter, no carries
         bits = 0
         for gather in gathers:
-            bits |= int.from_bytes(bytearray(gather(layer)), "big")
+            bits |= int.from_bytes(bytes(gather(layer)), "big")
         layer = bits.to_bytes(n, "big")
     else:
         return None
@@ -825,11 +858,13 @@ def window_accepts(dfa: Dfa, lo: int, hi: int) -> tuple[int, str] | None:
         if length is None:
             return None
     word += [""] * (length - lo)
+    letters = list(zip(symbols, columns))
     p = start
     for i in range(length):
         m = length - 1 - i  # letters left after this one
         reached = layers[m if m < j else mu + (m - mu) % period]
-        for a, q in zip(symbols, table[p * k : p * k + k]):
+        for a, column in letters:
+            q = column[p]
             if reached[q]:
                 word[i] = a
                 p = q
@@ -861,11 +896,13 @@ def _longest_path(dfa: Dfa, view: TrimmedView) -> tuple[int, str] | None:
     length = best[dfa.start]
     if length < 0:
         return None
-    symbols = dfa.alphabet.symbols
+    symbols, k, table = dfa.alphabet.symbols, len(dfa.alphabet), dfa.transitions
+    letters = [(a, table[i::k]) for i, a in enumerate(symbols)]
     p, word = dfa.start, []
-    for r in range(length, 0, -1):
-        for a, q in zip(symbols, dfa.row(p)):
-            if best[q] == r - 1:
+    for r in range(length - 1, -1, -1):  # r letters left after this one
+        for a, column in letters:
+            q = column[p]
+            if best[q] == r:
                 word.append(a)
                 p = q
                 break

@@ -138,7 +138,13 @@ def cmd_sat(args) -> tuple[dict, dict, int]:
 
 
 def _budget() -> int:
-    return int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET))
+    text = os.environ.get(BUDGET_ENV_VAR)
+    if text is None:
+        return DEFAULT_BUDGET
+    # ASCII digits only: int() also takes signs, "_", spaces and other scripts' digits
+    if not (text.isascii() and text.isdecimal()):
+        raise ValueError(f"{BUDGET_ENV_VAR} must be a decimal integer, got {text!r}")
+    return int(text)
 
 
 def cmd_numeric(args) -> tuple[dict, dict, int]:

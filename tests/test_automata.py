@@ -546,6 +546,35 @@ def test_subset_construct_plans_behind_a_long_unreachable_prefix(nfa, plan, plan
     assert peaks[1] < peaks[0] + 2**18
 
 
+def chains_across_a_gap(gap):
+    """Two 50-state chains on a, the first's end joined to the second's
+    start across ``gap`` unreachable ids; start 0, the last state accepts."""
+    n = 100 + gap
+    table = [0] * n
+    for p in range(49):
+        table[p] = 1 << p + 1
+        table[n - 50 + p] = 1 << n - 49 + p
+    table[49] = 1 << n - 50
+    return Nfa(n, Alphabet("a"), 1, 1 << n - 1, table)
+
+
+def test_subset_construct_renumbers_across_a_long_unreachable_gap(plan_shapes):
+    # the reachable ids are renumbered by rank, so the 100,000 unreachable
+    # ids between the chains widen no subset
+    peaks, dfas = [], []
+    for case in (chains_across_a_gap(0), chains_across_a_gap(100_000)):
+        tracemalloc.start()
+        try:
+            dfas.append(subset_construct(case, None))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert dfas[0] == dfas[1] == reference_subset_construct(case, case.alphabet)
+    assert dfas[0].state_count == 101
+    assert plan_shapes == [([1], 0), ([1], 0)]
+    assert peaks[1] < 2 * peaks[0]
+
+
 @pytest.mark.parametrize(
     "nfa, plans",
     [

@@ -229,6 +229,24 @@ def test_numeric_budget_env_override(capsys, monkeypatch):
     assert env["result"] == {"g": 100 * 103 - 100 - 103, "inputs": [100, 103]}
 
 
+@pytest.mark.parametrize("value", ["-3", "1_000", "+5", " 7 ", "\uff15", "abc", ""])
+@pytest.mark.parametrize("command", [["numeric", "2", "3"], ["oracle", "a", "--horizon", "2"]])
+def test_budget_env_takes_ascii_digits_only(capsys, monkeypatch, command, value):
+    # int() would take a sign, "_", spaces and the fullwidth 5; a negative
+    # budget read as a breach (exit 4)
+    monkeypatch.setenv("STAR_FROBENIUS_BUDGET", value)
+    code, out, err = run(capsys, command)
+    assert (code, out) == (2, "")
+    assert "STAR_FROBENIUS_BUDGET" in err and repr(value) in err
+
+
+def test_budget_env_zero_is_a_budget(capsys, monkeypatch):
+    monkeypatch.setenv("STAR_FROBENIUS_BUDGET", "0")
+    code, out, err = run(capsys, ["numeric", "2", "3"])
+    assert (code, out) == (4, "")
+    assert "budget" in err
+
+
 def test_oracle_command(capsys):
     code, env = run_json(
         capsys, ["oracle", "aa+aaa", "--horizon", "10", "--bound", "3"]
