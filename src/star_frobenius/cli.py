@@ -14,9 +14,9 @@ JSON output is deterministic (sorted keys); ``--timing`` adds a
 stay byte-identical.  Exit codes: 0 success, 2 input error, 3 semantic
 error (alphabet mismatch, gcd), 4 budget exceeded (the oracle's word
 enumeration or matcher stack, or the numeric solver's residue table of
-min(xs) entries; STAR_FROBENIUS_BUDGET sets the size limit) or out of
-memory, 1 internal failure, selftest property violation or standard
-output closed early.  ``oracle`` takes regex input only; ``decide`` also
+min(xs) entries; STAR_FROBENIUS_BUDGET, in ASCII decimal digits, sets
+the size limit) or out of memory, 1 internal failure, selftest property
+violation or standard output closed early.  ``oracle`` takes regex input only; ``decide`` also
 reads an NFA description (``--nfa``).  ``--alphabet`` goes to the library
 as declared, and the echoed alphabet is the effective one it chose.
 """

@@ -37,6 +37,7 @@ from star_frobenius import (
     parse_nfa,
     parse_regex,
     regex_match,
+    sat_bruteforce,
     star_closure,
     subset_construct,
     symbol_length,
@@ -909,20 +910,16 @@ def test_longest_accepted_examples():
         assert longest_accepted(dfa) == (length, smallest)
 
 
-def brute_force_trim(dfa):
-    """The useful states, whether the language is infinite, and the longest
-    accepted word with its smallest witness (None when the language is
-    empty or infinite), from plain searches and from enumerating every
-    word of up to |Q| letters."""
-    n, symbols = dfa.state_count, dfa.alphabet.symbols
+def plain_searches(dfa):
+    """The reachable and the co-reachable states, by repeated set unions."""
+    n = dfa.state_count
     reachable = {dfa.start}
     while True:
         more = reachable | {q for p in reachable for q in dfa.row(p)}
         if more == reachable:
             break
         reachable = more
-    accepting = accepting_states(dfa.accepting)
-    coreachable = set(accepting)
+    coreachable = accepting_states(dfa.accepting)
     while True:
         more = coreachable | {
             p for p in range(n) if any(q in coreachable for q in dfa.row(p))
@@ -930,6 +927,17 @@ def brute_force_trim(dfa):
         if more == coreachable:
             break
         coreachable = more
+    return reachable, coreachable
+
+
+def brute_force_trim(dfa):
+    """The useful states, whether the language is infinite, and the longest
+    accepted word with its smallest witness (None when the language is
+    empty or infinite), from plain searches and from enumerating every
+    word of up to |Q| letters."""
+    n, symbols = dfa.state_count, dfa.alphabet.symbols
+    reachable, coreachable = plain_searches(dfa)
+    accepting = accepting_states(dfa.accepting)
     # A run of |Q| letters repeats a state, so the language is infinite iff
     # such a run can still be completed to an accepted word.
     infinite = False
@@ -1035,6 +1043,82 @@ def test_trim_matches_brute_force_on_random_dfas():
     for _ in range(800):
         assert_trim_matches_brute_force(random_dfa(rng, max_states=7))
         assert_trim_matches_brute_force(random_forward_dfa(rng, max_states=8))
+
+
+def memoized_longest(dfa, useful):
+    """best[p] for each useful p, the longest accepted length from p, by a
+    depth-first search that memoizes each state once its useful successors
+    are done; None when the search meets a state still open (a cycle)."""
+    accepting = accepting_states(dfa.accepting)
+    best, open_states = {}, set()
+    for root in useful:
+        stack = [root]
+        while stack:
+            p = stack[-1]
+            if p in best:
+                stack.pop()
+                continue
+            successors = [q for q in dfa.row(p) if q in useful]
+            if any(q in open_states for q in successors if q not in best):
+                return None
+            pending = [q for q in successors if q not in best]
+            if pending:
+                open_states.add(p)
+                stack += pending
+                continue
+            stack.pop()
+            open_states.discard(p)
+            lengths = [best[q] + 1 for q in successors]
+            best[p] = max(lengths + [0] if p in accepting else lengths)
+    return best
+
+
+def benchmark_sized_complements():
+    """Complements of DFAs of about a thousand states: those of a seeded
+    satisfiable and a seeded unsatisfiable n = 6 reduction, and of
+    a^31 + a^34."""
+    rng = random.Random(6)
+    reductions = {}
+    while len(reductions) < 2:
+        cnf = random_cnf(rng, 6, 40, min_vars=6)
+        reductions.setdefault(sat_bruteforce(cnf) is not None, cnf_to_regex(cnf))
+    expressions = [
+        reductions[True],
+        reductions[False],
+        parse_regex("a" * 31 + "+" + "a" * 34),
+    ]
+    return [complement(subset_construct(glushkov_star(ast), None)) for ast in expressions]
+
+
+def test_trim_longest_and_window_on_benchmark_sized_dfas():
+    dfas = benchmark_sized_complements()
+    assert [dfa.state_count > 1000 for dfa in dfas] == [True] * 3
+    for dfa, infinite in zip(dfas, (True, False, False)):
+        reachable, coreachable = plain_searches(dfa)
+        useful = reachable & coreachable
+        view = trim_useful(dfa)
+        assert sorted(view.states) == sorted(useful)
+        best = memoized_longest(dfa, useful)
+        assert (best is None) == (view.best is None) == infinite
+        if infinite:
+            with pytest.raises(InfiniteLanguage):
+                longest_accepted(dfa)
+        else:
+            assert view.best == [best.get(p, -1) for p in range(dfa.state_count)]
+            # the smallest longest word: the smallest letter that leaves a
+            # word of the remaining length
+            length, p, word = best[dfa.start], dfa.start, ""
+            for r in range(length - 1, -1, -1):
+                a, p = next(
+                    (a, q)
+                    for a, q in zip(dfa.alphabet.symbols, dfa.row(p))
+                    if best.get(q) == r
+                )
+                word += a
+            assert longest_accepted(dfa) == (length, word)
+        n = len(useful)
+        for lo, hi in ((n, 2 * n), (n // 2, n), (0, n)):
+            assert window_accepts(dfa, lo, hi) == reference_window_accepts(dfa, lo, hi)
 
 
 def test_longest_accepted_rejects_infinite():

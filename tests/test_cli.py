@@ -230,7 +230,9 @@ def test_numeric_budget_env_override(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("value", ["-3", "1_000", "+5", " 7 ", "\uff15", "abc", ""])
-@pytest.mark.parametrize("command", [["numeric", "2", "3"], ["oracle", "a", "--horizon", "2"]])
+@pytest.mark.parametrize(
+    "command", [["numeric", "2", "3"], ["oracle", "a", "--horizon", "2"]]
+)
 def test_budget_env_takes_ascii_digits_only(capsys, monkeypatch, command, value):
     # int() would take a sign, "_", spaces and the fullwidth 5; a negative
     # budget read as a breach (exit 4)
