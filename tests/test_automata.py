@@ -562,15 +562,16 @@ def chains_across_a_gap(gap):
 def test_subset_construct_renumbers_across_a_long_unreachable_gap(plan_shapes):
     # the reachable ids are renumbered by rank, so the 100,000 unreachable
     # ids between the chains widen no subset
+    gapless, gapped = chains_across_a_gap(0), chains_across_a_gap(100_000)
     peaks, dfas = [], []
-    for case in (chains_across_a_gap(0), chains_across_a_gap(100_000)):
+    for case in (gapless, gapped):
         tracemalloc.start()
         try:
             dfas.append(subset_construct(case, None))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert dfas[0] == dfas[1] == reference_subset_construct(case, case.alphabet)
+    assert dfas[0] == dfas[1] == reference_subset_construct(gapped, gapped.alphabet)
     assert dfas[0].state_count == 101
     assert plan_shapes == [([1], 0), ([1], 0)]
     assert peaks[1] < 2 * peaks[0]

@@ -234,8 +234,8 @@ def test_numeric_budget_env_override(capsys, monkeypatch):
     "command", [["numeric", "2", "3"], ["oracle", "a", "--horizon", "2"]]
 )
 def test_budget_env_takes_ascii_digits_only(capsys, monkeypatch, command, value):
-    # int() would take a sign, "_", spaces and the fullwidth 5; a negative
-    # budget read as a breach (exit 4)
+    # ASCII digits only: int() would also take a sign, "_", spaces and the
+    # fullwidth 5
     monkeypatch.setenv("STAR_FROBENIUS_BUDGET", value)
     code, out, err = run(capsys, command)
     assert (code, out) == (2, "")
