@@ -18,22 +18,24 @@ reached, and its accepting set is one 0/1 byte per state, the form of the
 window's backward layers.  Subset construction reads each subset's
 successors by a plan of word-parallel shifts and shared-row tests when
 the NFA's ids put its edges at a few offsets, as a position automaton's
-do; otherwise it renumbers the reachable states breadth-first, privately,
-and reads each subset in 64-bit chunks: one lookup per chunk, in
-per-position tables of chunk unions that are filled on first use, or one
-lookup of the whole subset when the states fit in one chunk.  The steps
-after subset construction read the DFA by per-letter columns, the slices
-``transitions[i::|Σ|]`` taken once per call, so each edge they follow is
-one list index.  One backward sweep over the trim's predecessor lists
-gives the cycle test and best[], the longest accepted length from each
-useful state.  The longest witness is read off best[] greedily and the
-window witness off backward layers that stop at the first repeat.
+do, in a loop compiled to straight-line code once per plan shape (the
+numbers of shifts, tests and letters); otherwise it renumbers the
+reachable states breadth-first, privately, and reads each subset in
+64-bit chunks: one lookup per chunk, in per-position tables of chunk
+unions that are filled on first use, or one lookup of the whole subset
+when the states fit in one chunk.  The steps after subset construction
+read the DFA by per-letter columns, the slices ``transitions[i::|Σ|]``
+taken once per call, so each edge they follow is one list index.  One
+backward sweep over the trim's predecessor lists gives the cycle test and
+best[], the longest accepted length from each useful state.  The longest
+witness is read off best[] greedily and the window witness off backward
+layers that stop at the first repeat.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from heapq import nlargest
 from itertools import compress
 from operator import itemgetter, ne, or_
@@ -162,29 +164,29 @@ def _position_data(ast: RegexAst):
                 follow[p] |= successors
 
     def visit(node: RegexAst, children: tuple) -> tuple[bool, int, int]:
-        match node:
-            case EmptySet():
-                return False, 0, 0
-            case Epsilon():
-                return True, 0, 0
+        match node:  # the commonest kinds first
             case Symbol(letter):
                 singleton = 1 << len(follow)
                 follow.append(0)
                 labelled[letter] = labelled.get(letter, 0) | singleton
                 return False, singleton, singleton
-            case Union():
-                (nl, fl, ll), (nr, fr, lr) = children
-                return nl or nr, fl | fr, ll | lr
             case Concat():
                 (nl, fl, ll), (nr, fr, lr) = children
                 add_follow(ll, fr)
                 first = fl | fr if nl else fl
                 last = lr | ll if nr else lr
                 return nl and nr, first, last
+            case Union():
+                (nl, fl, ll), (nr, fr, lr) = children
+                return nl or nr, fl | fr, ll | lr
             case Star():
                 ((nc, fc, lc),) = children
                 add_follow(lc, fc)
                 return True, fc, lc
+            case Epsilon():
+                return True, 0, 0
+            case EmptySet():
+                return False, 0, 0
         raise TypeError(f"not a regex node: {node!r}")
 
     nullable, follow[0], last = fold(ast, visit)
@@ -564,6 +566,11 @@ def subset_construct(nfa: Nfa, alphabet: Alphabet | None) -> Dfa:
     has one.  A position automaton in left-to-right order has most of its
     edges at a few offsets: the 3SAT reduction's take three shifts and one
     test (the star's row), and a unary expression's one shift and one test.
+    The planned loop is compiled per plan shape, each group's numbers of
+    left shifts, right shifts, tests and letters, into straight-line code
+    with the masks as arguments (see _compiled_step), so a subset costs
+    its mask operations and one lookup per letter, and no loop over the
+    plan.
 
     Otherwise S is read in little-endian 64-bit chunks, from its lowest
     member's chunk to its highest one's; each chunk position has a table
@@ -669,51 +676,76 @@ def subset_construct(nfa: Nfa, alphabet: Alphabet | None) -> Dfa:
                     masks.append(nxt)
                 transitions.append(target)
 
-    accepting = bytes(mask & accepting != 0 for mask in masks)
+    accepting = bytes(map(bool, map(accepting.__and__, masks)))
     return Dfa(len(masks), alphabet, 0, accepting, transitions)
 
 
 def _planned(groups, plans, initial: int, accepting: int, alphabet) -> Dfa:
-    """subset_construct's DFA when every letter group has a plan."""
-    readers = [
-        (_plan_reader(*plan), enters) for (_, enters), plan in zip(groups, plans)
-    ]
+    """subset_construct's DFA when every letter group has a plan, by the
+    loop _compiled_step builds for the plans' shape."""
+    shape, args = [], []
+    for (_, enters), (shifts, tests) in zip(groups, plans):
+        lefts = [(m, d) for m, d in shifts if d >= 0]
+        rights = [(m, -d) for m, d in shifts if d < 0]
+        shape.append((len(lefts), len(rights), len(tests), len(enters)))
+        for pairs in (lefts, rights, tests):
+            for pair in pairs:
+                args += pair
+        args += enters
+    masks, transitions = _compiled_step(tuple(shape))(initial, *args)
 
-    id_of = {initial: 0}
-    masks = [initial]
-    transitions: list[int] = []
-    for mask in masks:  # the list doubles as the BFS queue
-        for read, enters in readers:
-            succ = read(mask)
-            for entered in enters:
-                nxt = succ & entered
-                target = id_of.get(nxt)
-                if target is None:
-                    target = id_of[nxt] = len(masks)
-                    masks.append(nxt)
-                transitions.append(target)
-
-    accepting = bytes(mask & accepting != 0 for mask in masks)
+    accepting = bytes(map(bool, map(accepting.__and__, masks)))
     return Dfa(len(masks), alphabet, 0, accepting, transitions)
 
 
-def _plan_reader(shifts, tests):
-    """The union of the rows over a subset by a plan of _plan's."""
-    lefts = [(m, d) for m, d in shifts if d >= 0]
-    rights = [(m, -d) for m, d in shifts if d < 0]
+_LETTER_STEP = """\
+        nxt = succ & e{g}_{i}
+        target = get(nxt)
+        if target is None:
+            target = id_of[nxt] = len(masks)
+            push(nxt)
+        append(target)
+"""
 
-    def read(mask: int) -> int:
-        succ = 0
-        for m, d in lefts:
-            succ |= (mask & m) << d
-        for m, d in rights:
-            succ |= (mask & m) >> d
-        for states, row in tests:
-            if mask & states:
-                succ |= row
-        return succ
 
-    return read
+@lru_cache(maxsize=128)
+def _compiled_step(shape: tuple[tuple[int, int, int, int], ...]):
+    """The breadth-first subset loop for plans of one shape, compiled to
+    straight-line code, as dataclasses compiles its methods.
+
+    ``shape`` holds, for each letter group, its numbers of left shifts,
+    right shifts, tests and letters, and the source is built from these
+    ints alone.  The function takes the initial subset, then for each group
+    its left shifts' (mask, offset) pairs, its right shifts' (mask, -offset)
+    pairs, its tests' (states, row) pairs and its letters' enters sets, and
+    returns the subsets in the order found and the transition table.
+    """
+    params, body = ["initial"], []
+    for g, (lefts, rights, tests, letters) in enumerate(shape):
+        terms = [f"(mask & m{g}_{j}) << d{g}_{j}" for j in range(lefts)]
+        terms += [f"(mask & m{g}_{j}) >> d{g}_{j}" for j in range(lefts, lefts + rights)]
+        params += [f"{v}{g}_{j}" for j in range(lefts + rights) for v in "md"]
+        params += [f"{v}{g}_{j}" for j in range(tests) for v in "sr"]
+        params += [f"e{g}_{i}" for i in range(letters)]
+        body.append(f"        succ = {' | '.join(terms)}\n")
+        body += [
+            f"        if mask & s{g}_{j}:\n            succ |= r{g}_{j}\n"
+            for j in range(tests)
+        ]
+        body += [_LETTER_STEP.format(g=g, i=i) for i in range(letters)]
+    source = (
+        f"def step({', '.join(params)}):\n"
+        "    id_of = {initial: 0}\n"
+        "    masks = [initial]\n"
+        "    transitions = []\n"
+        "    get, push, append = id_of.get, masks.append, transitions.append\n"
+        "    for mask in masks:  # the list doubles as the BFS queue\n"
+        f"{''.join(body)}"
+        "    return masks, transitions\n"
+    )
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["step"]
 
 
 def dfa_accepts(dfa: Dfa, word: str) -> bool:

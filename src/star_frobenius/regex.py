@@ -190,37 +190,42 @@ def parse_regex(text: str) -> RegexAst:
             pos += 1
 
 
-def _children(node: RegexAst) -> tuple[RegexAst, ...]:
-    if isinstance(node, (Union, Concat)):
-        return node.left, node.right
-    if isinstance(node, Star):
-        return (node.child,)
-    return ()
-
-
 T = TypeVar("T")
 
 
 def fold(ast: RegexAst, visit: Callable[[RegexAst, tuple], T]) -> T:
     """Post-order fold: ``visit(node, child_values)`` runs bottom-up, left
-    child before right, so Symbol leaves are met left to right.
+    child before right, so Symbol leaves are met left to right.  The child
+    values are ``()`` for a leaf, ``(left, right)`` for Union and Concat and
+    ``(child,)`` for Star.
 
     The walk keeps its own stack, so tree depth is bounded only by memory.
+    A node with children is pushed back as the exit marker ``(node, arity)``
+    under them, and the marker folds the top ``arity`` values into one.
+    Nodes are told apart by their exact type.
     """
     values: list = []
-    stack: list[tuple[RegexAst, int | None]] = [(ast, None)]
+    stack: list = [ast]
+    push, pop = stack.append, stack.pop
     while stack:
-        node, arity = stack.pop()
-        if arity is None:
-            children = _children(node)
-            if children:
-                stack.append((node, len(children)))
-                stack.extend((child, None) for child in reversed(children))
-                continue
-            arity = 0
-        args = tuple(values[len(values) - arity :])
-        del values[len(values) - arity :]
-        values.append(visit(node, args))
+        node = pop()
+        kind = type(node)
+        if kind is tuple:
+            node, arity = node
+            if arity == 2:
+                right = values.pop()
+                values[-1] = visit(node, (values[-1], right))
+            else:
+                values[-1] = visit(node, (values[-1],))
+        elif kind is Concat or kind is Union:
+            push((node, 2))
+            push(node.right)
+            push(node.left)
+        elif kind is Star:
+            push((node, 1))
+            push(node.child)
+        else:
+            values.append(visit(node, ()))
     return values[0]
 
 

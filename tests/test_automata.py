@@ -598,7 +598,7 @@ def test_subset_construct_one_group_without_a_plan(plan_shapes, monkeypatch):
     # a reads p into p + 1 and p + 2, and every 25th state reads b into a
     # random state: a's group has a plan and b's none, so neither plan is
     # used and both groups are read in chunks
-    monkeypatch.setattr(automata, "_plan_reader", lambda *plan: pytest.fail())
+    monkeypatch.setattr(automata, "_compiled_step", lambda shape: pytest.fail())
     rng = random.Random(71)
     n = 150
     table = [
@@ -608,6 +608,110 @@ def test_subset_construct_one_group_without_a_plan(plan_shapes, monkeypatch):
     ]
     nfa = Nfa(n, Alphabet("ab"), 1, 1 << n - 1, table)
     assert plans_over_both_alphabets(nfa, plan_shapes) == [([1, 2], 0), None]
+
+
+def planned_nfa(rng):
+    """A random NFA with plans of a random shape, built from the plans: 20
+    to 90 states, one to three letter groups of one to three letters, each
+    group with one to three shifts (offsets of either sign) and zero to
+    three tests, and some letters that enter nothing.  Each state lies in
+    at most one shift's mask or test's states, and a test's row holds one
+    state and maybe the last, which has no edges, so a subset of the one
+    to three initial states holds at most four.  Returns the NFA, the
+    alphabet widened by the letters that enter nothing, and the (union
+    rows, enters) groups and plans that _planned takes."""
+    n = rng.randint(20, 90)
+    names = iter("abcdefghi")
+    groups, plans, rows_of, declared = [], [], {}, []
+    for _ in range(rng.randint(1, 3)):
+        offsets = [rng.choice([-3, -2, -1, 1, 2, 5]) for _ in range(rng.randint(1, 3))]
+        slots = offsets + [None] * rng.randint(0, 3)  # None for a test
+        members = [[] for _ in slots]
+        for p in range(n - 1):
+            j = rng.randrange(len(slots))
+            if slots[j] is None or 0 <= p + slots[j] < n:
+                members[j].append(p)
+        union = [0] * n
+        shifts, tests = [], []
+        for d, states in zip(slots, members):
+            mask = sum(1 << p for p in states)
+            if d is None:
+                row = 1 << rng.randrange(n) | rng.randrange(2) << n - 1
+                tests.append((mask, row))
+                for p in states:
+                    union[p] |= row
+            else:
+                shifts.append((mask, d))
+                for p in states:
+                    union[p] |= 1 << p + d
+        letters = [next(names) for _ in range(rng.randint(1, 3))]
+        live = rng.sample(letters, rng.randint(1, len(letters)))
+        owner = [rng.choice(live) for _ in range(n)]  # the letter entering q
+        enters = []
+        for a in letters:
+            enters.append(sum(1 << q for q in range(n) if owner[q] == a))
+            if a in live:
+                rows_of[a] = [row & enters[-1] for row in union]
+        declared += letters
+        groups.append((union, enters))
+        plans.append((shifts, tests))
+    own = Alphabet(rows_of)
+    table = [rows_of[a][p] for p in range(n) for a in own.symbols]
+    initial = sum(1 << p for p in rng.sample(range(n), rng.randint(1, 3)))
+    accepting = sum(1 << p for p in range(n) if rng.random() < 0.3)
+    nfa = Nfa(n, own, initial, accepting, table)
+    return nfa, Alphabet(declared), groups, plans
+
+
+def test_compiled_step_matches_reference_on_random_shapes():
+    rng = random.Random(97)
+    shapes, widened = set(), 0
+    for _ in range(100):
+        nfa, declared, groups, plans = planned_nfa(rng)
+        reference = reference_subset_construct(nfa, declared)
+        dfa = automata._planned(groups, plans, nfa.initial, nfa.accepting, declared)
+        assert dfa == reference
+        assert subset_construct(nfa, declared) == reference
+        widened += declared != nfa.alphabet
+        shapes.add(
+            tuple(
+                (tuple(sorted({d > 0 for _, d in shifts})), len(tests), len(enters))
+                for (shifts, tests), (_, enters) in zip(plans, groups)
+            )
+        )
+    groups_of = [group for shape in shapes for group in shape]
+    assert {len(shape) for shape in shapes} == {1, 2, 3}
+    directions = {signs for signs, _, _ in groups_of}
+    assert directions == {(False,), (True,), (False, True)}
+    assert {tests for _, tests, _ in groups_of} == {0, 1, 2, 3}
+    assert {letters for _, _, letters in groups_of} == {1, 2, 3}
+    assert widened >= 20
+
+
+def test_compiled_step_is_cached_by_shape(monkeypatch):
+    # two unary coin sets of one shape, one shift, one test and one letter,
+    # but other masks, compile one loop between them
+    compile_step = automata._compiled_step
+    keys = []
+
+    def record(shape):
+        keys.append(shape)
+        return compile_step(shape)
+
+    monkeypatch.setattr(automata, "_compiled_step", record)
+    compile_step.cache_clear()
+    for nfa in (unary_coins(31, 34), unary_coins(7, 121)):
+        assert_same_dfa(nfa, nfa.alphabet)
+    assert keys[0] == keys[1]
+    assert compile_step.cache_info().misses == 1
+    assert compile_step.cache_info().hits == 1
+
+    def scalars(key):
+        if type(key) is tuple:
+            return all(map(scalars, key))
+        return type(key) in (int, bool)
+
+    assert scalars(keys[0])
 
 
 def mostly_deterministic_nfa(rng):

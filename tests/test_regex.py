@@ -16,6 +16,7 @@ from star_frobenius import (
     parse_regex,
     symbol_length,
 )
+from star_frobenius.regex import fold
 
 
 def test_parse_single_symbol():
@@ -156,3 +157,50 @@ def test_deep_literal_roundtrip():
 def test_deep_brackets_parse():
     depth = 100_000
     assert parse_regex("(" * depth + "a" + ")" * depth) == Symbol("a")
+
+
+def test_fold_visits_post_order_with_child_values():
+    # the visit returns its node, so each call's child values are the
+    # node's children: () for a leaf, (left, right) for Union and Concat
+    # and (child,) for Star
+    a, eps, empty = Symbol("a"), Epsilon(), EmptySet()
+    star = Star(eps)
+    concat = Concat(a, star)
+    tree = Union(concat, empty)
+    calls = []
+
+    def visit(node, children):
+        calls.append((node, children))
+        return node
+
+    assert fold(tree, visit) is tree
+    assert calls == [
+        (a, ()),
+        (eps, ()),
+        (star, (eps,)),
+        (concat, (a, star)),
+        (empty, ()),
+        (tree, (concat, empty)),
+    ]
+
+
+def test_fold_right_deep_chain():
+    # the parser builds left-deep chains; a right-deep one of 100,000
+    # Concat nodes is folded on the same explicit stack, leaves left to
+    # right
+    letters = "abc" * 33_334  # 100,002 letters: 100,001 leaves are used
+    tree = Symbol(letters[100_000])
+    for i in range(99_999, -1, -1):
+        tree = Concat(Symbol(letters[i]), tree)
+    met = []
+
+    def visit(node, children):
+        if type(node) is Symbol:
+            met.append(node.letter)
+            return 1
+        return sum(children)
+
+    assert fold(tree, visit) == 100_001
+    assert "".join(met) == letters[:100_001]
+    assert symbol_length(tree) == 100_001
+    assert list(alphabet_of(tree)) == ["a", "b", "c"]
